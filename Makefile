@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet vet-fixtures bench bench-smoke bench-ingress bench-pipeline chaos soak soak-recovery soak-ingress fuzz cover
+.PHONY: build test check vet vet-fixtures loc bench bench-smoke bench-e2e-test bench-ingress bench-pipeline chaos soak soak-recovery soak-ingress fuzz cover
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,14 @@ vet:
 vet-fixtures:
 	$(GO) test -count=1 ./internal/analysis/...
 
+# Non-test line counts of the three core packages: the number ROADMAP aim 2
+# (less code for the same behaviour) is judged by.
+loc:
+	@for p in runtime progress supervise; do \
+		printf '%-10s %6d\n' $$p $$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
+	@printf '%-10s %6d\n' total $$(ls internal/runtime/*.go internal/progress/*.go internal/supervise/*.go | grep -v _test.go | xargs cat | wc -l)
+
 # Progress + runtime microbenchmarks, then the harness comparison of the
 # indexed tracker against the scan-based reference oracle and the
 # capability (timestamp-token) layer, written to the committed
@@ -64,6 +72,12 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/progress/ ./internal/runtime/
 	$(GO) run ./cmd/naiad-bench -exp=progress
+
+# The end-to-end benchmark's own tests (BENCHMARK.json, benchmark/README.md).
+# benchmark/ is a nested module built against this tree, so `go test ./...`
+# at the root does not reach it.
+bench-e2e-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Record data plane: the typed-batch vs boxed per-record comparison plus
 # the Go microbenchmarks and the zero-alloc steady-state gate, written to
@@ -103,18 +117,17 @@ soak:
 	done
 
 # Barrier-snapshot soak: the seeded asynchronous-barrier suites — marker
-# chaos, the randomized recovery simulation, selective rollback, and the
-# quiesce differential oracle — under the race detector, SOAK_ITERS times
-# with distinct seeds. Each iteration's schedule is drawn from its seed,
-# so a failure replays exactly with the printed NAIAD_TEST_SEED; the suite
-# itself uses no wall-clock scheduling beyond the bounded cut-settle and
-# revival timeouts.
+# chaos, the randomized recovery simulation, and selective rollback — under
+# the race detector, SOAK_ITERS times with distinct seeds. Each iteration's
+# schedule is drawn from its seed, so a failure replays exactly with the
+# printed NAIAD_TEST_SEED; the suite itself uses no wall-clock scheduling
+# beyond the bounded cut-settle and revival timeouts.
 soak-recovery:
 	@set -e; for i in $$(seq 1 $(SOAK_ITERS)); do \
 		seed=$$((20130101 + 1000 * i)); \
 		echo "== soak-recovery iteration $$i/$(SOAK_ITERS) (NAIAD_TEST_SEED=$$seed) =="; \
 		NAIAD_TEST_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestSeededRecoverySimulation|TestSimulationMidBarrierWorkerCrash|TestBarrierChaos|TestBarrierCrash|TestSelectiveRollback|TestCutSettleTimeout|TestDifferentialQuiesceVsBarrierCut' \
+			-run 'TestSeededRecoverySimulation|TestSimulationMidBarrierWorkerCrash|TestBarrierChaos|TestBarrierCrash|TestSelectiveRollback|TestCutSettleTimeout' \
 			./internal/supervise/; \
 	done
 

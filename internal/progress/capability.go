@@ -39,7 +39,6 @@ import (
 type Capability struct {
 	set     *CapSet
 	p       Pointstamp
-	seq     uint64
 	dropped bool
 }
 
@@ -48,13 +47,6 @@ func (c *Capability) Pointstamp() Pointstamp { return c.p }
 
 // Time returns the token's current timestamp.
 func (c *Capability) Time() ts.Timestamp { return c.p.Time }
-
-// Seq returns the owner-assigned sequence number, used by the runtime to
-// identify the token across checkpoint and replay.
-func (c *Capability) Seq() uint64 { return c.seq }
-
-// SetSeq assigns the owner's sequence number.
-func (c *Capability) SetSeq(n uint64) { c.seq = n }
 
 // Dropped reports whether the token has been retired.
 func (c *Capability) Dropped() bool { return c.dropped }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -107,56 +108,44 @@ func DecodeBarrierMarker(data []byte) (BarrierMarker, error) {
 	return m, nil
 }
 
-// PendingNotification is one outstanding NotifyAt request captured in a
-// cut: its delivery guarantee, the capability it holds, and whether it
-// holds one at all (purge notifications do not).
-type PendingNotification struct {
-	Guarantee  ts.Timestamp
-	Capability ts.Timestamp
-	HasCap     bool
-}
-
-// HeldCapability is one capability a vertex held at the snapshot instant:
-// its per-vertex sequence number (the stable identity vertices checkpoint)
-// and its time at capture.
+// HeldCapability is one entry of a vertex's obligations table at the
+// snapshot instant, under its per-vertex sequence number (the stable
+// identity vertices checkpoint and delivery logs refer to). HasCap entries
+// hold a token at Time; Notify entries owe an OnNotify(Guarantee). A plain
+// held capability is HasCap only, NotifyAt/NotifyAtCap both, a purge
+// notification Notify only.
 type HeldCapability struct {
-	Seq  uint64
-	Time ts.Timestamp
-}
-
-// CapFragment is one vertex's held-capability state at the snapshot
-// instant: the next sequence number it would assign — replayed callbacks
-// must continue the exact numbering — and the capabilities still held.
-// Like Pending, it serves selective rollback only; a full restore ignores
-// it (the input replay regenerates every hold).
-type CapFragment struct {
-	Next uint64
-	Held []HeldCapability
+	Seq       uint64
+	HasCap    bool
+	Time      ts.Timestamp
+	Notify    bool
+	Guarantee ts.Timestamp
 }
 
 // CutSnapshot is one complete asynchronous snapshot, aligned to the epoch
 // boundary Epoch: every vertex's state after processing exactly the epochs
-// below the boundary, the pending notifications each vertex held at its
-// snapshot instant (all at or above the boundary), the input epoch
-// positions, and the deferred in-flight batches logged during alignment
-// (encoded data frames, in delivery order, all at or above the boundary).
+// below the boundary, the obligations each vertex held at its snapshot
+// instant (held capabilities, and notification requests all at or above the
+// boundary), the input epoch positions, and the deferred in-flight batches
+// logged during alignment (encoded data frames, in delivery order, all at or
+// above the boundary).
 //
 // Because the fragments sit exactly on the epoch boundary, a full restore
 // needs only Vertices and InputEpochs — it is interchangeable with a
 // stop-the-world Snapshot taken at the same boundary, and the feeding
-// client replays epochs ≥ Epoch exactly as it would for one (RestoreCut).
-// Pending and Channels serve selective rollback: a revived worker replays
-// its delivery log from the snapshot instant, which needs the notification
-// requests outstanding at that instant, and the deferred batches document
-// the in-flight channel state the log's first entries redeliver.
+// client replays epochs ≥ Epoch exactly as it would for one (RestoreCut);
+// that replay regenerates every hold and request. Caps and Channels serve
+// selective rollback: a revived worker replays its delivery log from the
+// snapshot instant, which needs the obligations outstanding at that
+// instant, and the deferred batches document the in-flight channel state
+// the log's first entries redeliver.
 type CutSnapshot struct {
 	Cut         int64
 	Epoch       int64
 	Vertices    map[StageID]map[int][]byte // stage → vertex index → state
 	InputEpochs map[StageID]int64
-	Pending     map[StageID]map[int][]PendingNotification
-	Channels    [][]byte // encoded data frames deferred across the boundary
-	Caps        map[StageID]map[int]CapFragment
+	Channels    [][]byte                             // encoded data frames deferred across the boundary
+	Caps        map[StageID]map[int][]HeldCapability // stage → vertex index → table, in Seq order
 }
 
 func newCutSnapshot(cut, epoch int64) *CutSnapshot {
@@ -165,28 +154,26 @@ func newCutSnapshot(cut, epoch int64) *CutSnapshot {
 		Epoch:       epoch,
 		Vertices:    make(map[StageID]map[int][]byte),
 		InputEpochs: make(map[StageID]int64),
-		Pending:     make(map[StageID]map[int][]PendingNotification),
-		Caps:        make(map[StageID]map[int]CapFragment),
+		Caps:        make(map[StageID]map[int][]HeldCapability),
 	}
 }
 
-// cutVersion is the NSNP format version of an encoded CutSnapshot. Version
-// 1 (EncodeSnapshot) remains the quiesce-path format; both share the NSNP
-// header, so a store can hold a mix and SnapshotFormatVersion dispatches.
-// Version 3 added the held-capability fragments.
-const cutVersion = 3
+// cutVersion is the NSNP format version of an encoded CutSnapshot (version
+// 1 is EncodeSnapshot's stop-the-world format; both share the NSNP header).
+// Version 4 folded the pending-notification section into the one
+// obligations section; older cuts are refused with ErrCutVersion.
+const cutVersion = 4
 
-// SnapshotFormatVersion reports the NSNP format version of an encoded
-// snapshot or cut without decoding its body.
-func SnapshotFormatVersion(data []byte) (uint32, error) {
-	if len(data) < snapshotHeaderSize {
-		return 0, fmt.Errorf("runtime: snapshot too short: %d bytes", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:4]); m != snapshotMagic {
-		return 0, fmt.Errorf("runtime: bad snapshot magic %#x", m)
-	}
-	return binary.LittleEndian.Uint32(data[4:8]), nil
-}
+// ErrCutVersion is wrapped into UnmarshalCut's error for well-formed NSNP
+// bytes of any other format version — an older cut layout, or a
+// stop-the-world snapshot. Callers treat it like a corrupt snapshot.
+var ErrCutVersion = errors.New("runtime: unsupported cut version")
+
+// Flag bits of an encoded HeldCapability.
+const (
+	heldHasCap = 1 << iota
+	heldNotify
+)
 
 func putTimestamp(e *codec.Encoder, t ts.Timestamp) {
 	e.PutInt64(t.Epoch)
@@ -197,7 +184,7 @@ func putTimestamp(e *codec.Encoder, t ts.Timestamp) {
 }
 
 // EncodeCut serializes a cut for durable storage, framed with the same
-// versioned, checksummed NSNP header as EncodeSnapshot (format version 2).
+// versioned, checksummed NSNP header as EncodeSnapshot.
 func EncodeCut(s *CutSnapshot) []byte {
 	enc := codec.NewEncoder(1024)
 	enc.PutInt64(s.Cut)
@@ -216,24 +203,6 @@ func EncodeCut(s *CutSnapshot) []byte {
 		enc.PutUint32(uint32(sid))
 		enc.PutInt64(e)
 	}
-	enc.PutUint32(uint32(len(s.Pending)))
-	for sid, m := range s.Pending {
-		enc.PutUint32(uint32(sid))
-		enc.PutUint32(uint32(len(m)))
-		for idx, pns := range m {
-			enc.PutUint32(uint32(idx))
-			enc.PutUint32(uint32(len(pns)))
-			for _, pn := range pns {
-				putTimestamp(enc, pn.Guarantee)
-				putTimestamp(enc, pn.Capability)
-				if pn.HasCap {
-					enc.PutUint8(1)
-				} else {
-					enc.PutUint8(0)
-				}
-			}
-		}
-	}
 	enc.PutUint32(uint32(len(s.Channels)))
 	for _, ch := range s.Channels {
 		enc.PutBytes(ch)
@@ -242,13 +211,25 @@ func EncodeCut(s *CutSnapshot) []byte {
 	for sid, m := range s.Caps {
 		enc.PutUint32(uint32(sid))
 		enc.PutUint32(uint32(len(m)))
-		for idx, cf := range m {
+		for idx, held := range m {
 			enc.PutUint32(uint32(idx))
-			enc.PutUint64(cf.Next)
-			enc.PutUint32(uint32(len(cf.Held)))
-			for _, h := range cf.Held {
+			enc.PutUint32(uint32(len(held)))
+			for _, h := range held {
 				enc.PutUint64(h.Seq)
-				putTimestamp(enc, h.Time)
+				var flags uint8
+				if h.HasCap {
+					flags |= heldHasCap
+				}
+				if h.Notify {
+					flags |= heldNotify
+				}
+				enc.PutUint8(flags)
+				if h.HasCap {
+					putTimestamp(enc, h.Time)
+				}
+				if h.Notify {
+					putTimestamp(enc, h.Guarantee)
+				}
 			}
 		}
 	}
@@ -272,7 +253,7 @@ func UnmarshalCut(data []byte) (*CutSnapshot, error) {
 		return nil, fmt.Errorf("runtime: bad cut magic %#x", m)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != cutVersion {
-		return nil, fmt.Errorf("runtime: unsupported cut version %d (want %d)", v, cutVersion)
+		return nil, fmt.Errorf("%w %d (want %d)", ErrCutVersion, v, cutVersion)
 	}
 	body := data[snapshotHeaderSize:]
 	if sum := crc32.Checksum(body, snapshotCRC); sum != binary.LittleEndian.Uint32(data[8:12]) {
@@ -296,38 +277,34 @@ func UnmarshalCut(data []byte) (*CutSnapshot, error) {
 			sid := StageID(dec.Uint32())
 			s.InputEpochs[sid] = dec.Int64()
 		}
-		for n := dec.Count(8); n > 0; n-- {
-			sid := StageID(dec.Uint32())
-			m := make(map[int][]PendingNotification)
-			for k := dec.Count(8); k > 0; k-- {
-				idx := int(dec.Uint32())
-				pns := make([]PendingNotification, dec.Count(19))
-				for i := range pns {
-					pns[i].Guarantee = decodeTime(dec)
-					pns[i].Capability = decodeTime(dec)
-					pns[i].HasCap = dec.Uint8() != 0
-				}
-				m[idx] = pns
-			}
-			s.Pending[sid] = m
-		}
 		s.Channels = make([][]byte, dec.Count(4))
 		for i := range s.Channels {
 			s.Channels[i] = append([]byte(nil), dec.BytesView()...)
 		}
-		for n := dec.Count(16); n > 0; n-- {
+		for n := dec.Count(8); n > 0; n-- {
 			sid := StageID(dec.Uint32())
-			m := make(map[int]CapFragment)
-			for k := dec.Count(16); k > 0; k-- {
+			m := make(map[int][]HeldCapability)
+			for k := dec.Count(8); k > 0; k-- {
 				idx := int(dec.Uint32())
-				var cf CapFragment
-				cf.Next = dec.Uint64()
-				cf.Held = make([]HeldCapability, dec.Count(17))
-				for i := range cf.Held {
-					cf.Held[i].Seq = dec.Uint64()
-					cf.Held[i].Time = decodeTime(dec)
+				held := make([]HeldCapability, dec.Count(9))
+				for i := range held {
+					h := &held[i]
+					h.Seq = dec.Uint64()
+					flags := dec.Uint8()
+					if flags == 0 || flags > heldHasCap|heldNotify {
+						panic(fmt.Sprintf("runtime: corrupt cut: obligation flags %#x", flags))
+					}
+					if i > 0 && h.Seq <= held[i-1].Seq {
+						panic("runtime: corrupt cut: obligations out of sequence order")
+					}
+					if h.HasCap = flags&heldHasCap != 0; h.HasCap {
+						h.Time = decodeTime(dec)
+					}
+					if h.Notify = flags&heldNotify != 0; h.Notify {
+						h.Guarantee = decodeTime(dec)
+					}
 				}
-				m[idx] = cf
+				m[idx] = held
 			}
 			s.Caps[sid] = m
 		}
@@ -463,7 +440,7 @@ func (c *Computation) RetireCut(cut int64) {
 // fragment completes the cut and fires the handler from a fresh goroutine
 // (never from a worker thread — the handler may block on disk).
 func (c *Computation) reportCutFragment(cut int64, sid StageID, idx int, frag []byte,
-	pending []PendingNotification, caps CapFragment, chans [][]byte, isInput bool, inputEpoch int64) {
+	held []HeldCapability, chans [][]byte, isInput bool, inputEpoch int64) {
 	c.cutMu.Lock()
 	cs := c.curCut
 	if cs == nil || cs.cut != cut || cs.settled {
@@ -478,21 +455,13 @@ func (c *Computation) reportCutFragment(cut int64, sid StageID, idx int, frag []
 		}
 		m[idx] = frag
 	}
-	if len(pending) > 0 {
-		m := cs.snap.Pending[sid]
-		if m == nil {
-			m = make(map[int][]PendingNotification)
-			cs.snap.Pending[sid] = m
-		}
-		m[idx] = pending
-	}
-	if caps.Next != 0 || len(caps.Held) > 0 {
+	if len(held) > 0 {
 		m := cs.snap.Caps[sid]
 		if m == nil {
-			m = make(map[int]CapFragment)
+			m = make(map[int][]HeldCapability)
 			cs.snap.Caps[sid] = m
 		}
-		m[idx] = caps
+		m[idx] = held
 	}
 	cs.snap.Channels = append(cs.snap.Channels, chans...)
 	if isInput {

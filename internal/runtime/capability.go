@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"naiad/internal/graph"
 	"naiad/internal/progress"
@@ -16,15 +18,22 @@ import (
 // asynchronous work (the exactly-once sink holds one across its commit I/O)
 // without keeping a callback on the worker thread.
 //
-// Identity across crash and replay: each vertex numbers its capabilities
+// A notification request (§2.2, §2.4) is the same thing with a guarantee
+// time attached: NotifyAt holds a token at the capability time, the worker
+// calls OnNotify once the guarantee time is complete, and the token drops
+// when the callback returns. A purge notification is an entry with no token.
+// Each vertex therefore has ONE obligations table (vertexState.heldCaps),
+// and the cut format, revival and replay know only that table.
+//
+// Identity across crash and replay: each vertex numbers its table entries
 // with a per-vertex sequence counter. Replayed callbacks re-execute in log
-// order, so re-held capabilities receive the same sequence numbers the
-// pre-crash execution assigned, and capabilities held at a snapshot instant
-// are recorded (seq, time) in the cut and re-minted on revival. Asynchronous
-// drops therefore address the token by (stage, seq) against the *current*
-// vertex incarnation — a drop queued before a crash still retires the
-// re-minted token after replay, and a duplicate drop (the pre-crash
-// goroutine and its replayed twin both reporting) is a no-op.
+// order, so re-made entries receive the same sequence numbers the pre-crash
+// execution assigned, and entries live at a snapshot instant are recorded in
+// the cut and re-minted on revival. Asynchronous drops and logged
+// notification deliveries therefore address an entry by (stage, seq) against
+// the *current* vertex incarnation — a drop queued before a crash still
+// retires the re-minted token after replay, and a duplicate drop (the
+// pre-crash goroutine and its replayed twin both reporting) is a no-op.
 
 // Capability is a held timestamp token bound to one vertex. Time, Downgrade,
 // Drop, SendBy, and SendBatchBy must run on the owning worker thread (from a
@@ -34,14 +43,46 @@ type Capability struct {
 	w     *worker
 	stage StageID
 	seq   uint64
-	pc    *progress.Capability
+	pc    *progress.Capability // nil for a purge notification: no token
+
+	// notify marks a notification request: OnNotify(guarantee) is owed once
+	// guarantee has no active precursor, and the entry retires with it.
+	notify    bool
+	guarantee ts.Timestamp
+}
+
+// hold appends an entry to the vertex's obligations table under the next
+// sequence number, minting a token at t unless the entry is bare (a purge
+// notification). During replay the mint's +1 is suppressed — the pre-crash
+// execution already posted it — but the token still registers.
+func (w *worker) hold(vs *vertexState, t ts.Timestamp, bare bool) *Capability {
+	hc := &Capability{w: w, stage: vs.si.id, seq: vs.nextCapSeq}
+	vs.nextCapSeq++
+	if !bare {
+		hc.pc = w.caps.Mint(progress.Pointstamp{Time: t, Loc: graph.StageLoc(vs.si.id)})
+	}
+	vs.heldCaps = append(vs.heldCaps, hc)
+	return hc
+}
+
+// heldIndex finds the table entry numbered seq. The table is ordered by seq:
+// entries are appended under an increasing counter and re-minted in order.
+func (vs *vertexState) heldIndex(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(vs.heldCaps, seq, func(hc *Capability, seq uint64) int {
+		return cmp.Compare(hc.seq, seq)
+	})
+}
+
+// retire removes table entry i.
+func (vs *vertexState) retire(i int) {
+	vs.heldCaps = slices.Delete(vs.heldCaps, i, i+1)
 }
 
 // HoldCapability mints a capability at time t, which must be ≥ the current
 // callback time. Only valid inside a sending callback (not a purge
 // notification): the capability inherits the callback's right to act at t.
 func (c *Context) HoldCapability(t ts.Timestamp) *Capability {
-	w, vs := c.w, c.vs
+	vs := c.vs
 	n := len(vs.timeStack)
 	if n == 0 {
 		panic(fmt.Sprintf("runtime: %s: HoldCapability outside a callback", vs.si.name))
@@ -53,16 +94,7 @@ func (c *Context) HoldCapability(t ts.Timestamp) *Capability {
 	if !top.t.LessEq(t) {
 		panic(fmt.Sprintf("runtime: %s: HoldCapability at %v before callback time %v", vs.si.name, t, top.t))
 	}
-	seq := vs.nextCapSeq
-	vs.nextCapSeq++
-	pc := w.caps.Mint(progress.Pointstamp{Time: t, Loc: graph.StageLoc(vs.si.id)})
-	pc.SetSeq(seq)
-	hc := &Capability{w: w, stage: vs.si.id, seq: seq, pc: pc}
-	if vs.heldCaps == nil {
-		vs.heldCaps = make(map[uint64]*Capability)
-	}
-	vs.heldCaps[seq] = hc
-	return hc
+	return c.w.hold(vs, t, false)
 }
 
 // HeldCap returns the currently held capability with the given sequence
@@ -71,7 +103,10 @@ func (c *Context) HoldCapability(t ts.Timestamp) *Capability {
 // (the snapshot re-mints them; the vertex's old pointers died with it).
 // Worker-thread only.
 func (c *Context) HeldCap(seq uint64) *Capability {
-	return c.vs.heldCaps[seq]
+	if i, ok := c.vs.heldIndex(seq); ok && !c.vs.heldCaps[i].notify {
+		return c.vs.heldCaps[i]
+	}
+	return nil
 }
 
 // Seq returns the capability's per-vertex sequence number — the stable
@@ -89,20 +124,15 @@ func (hc *Capability) Dropped() bool { return hc.pc.Dropped() }
 // Downgrade moves the capability forward to time t (≥ its current time),
 // relinquishing the right to act at earlier times. Worker-thread only.
 func (hc *Capability) Downgrade(t ts.Timestamp) {
-	cur := hc.current("Downgrade")
+	_, cur := hc.current("Downgrade")
 	cur.pc.Downgrade(t)
 }
 
 // Drop retires the capability synchronously. Worker-thread only; dropping a
 // capability twice panics (use DropAsync from racy paths — it is idempotent).
 func (hc *Capability) Drop() {
-	w := hc.w
-	vs := w.vertices[hc.stage]
-	cur, ok := vs.heldCaps[hc.seq]
-	if !ok {
-		panic(fmt.Sprintf("runtime: %s: double drop of capability %d", vs.si.name, hc.seq))
-	}
-	delete(vs.heldCaps, hc.seq)
+	i, cur := hc.current("Drop")
+	hc.w.vertices[hc.stage].retire(i)
 	cur.pc.Drop()
 }
 
@@ -122,7 +152,7 @@ func (hc *Capability) DropAsync() {
 // capability's authority — usable from callbacks whose own time has passed t
 // (including purge notifications). Worker-thread only.
 func (hc *Capability) SendBy(output int, msg Message, t ts.Timestamp) {
-	cur := hc.current("SendBy")
+	_, cur := hc.current("SendBy")
 	w, vs := hc.w, hc.w.vertices[hc.stage]
 	vs.timeStack = append(vs.timeStack, timeFrame{t: cur.pc.Time(), canSend: true})
 	w.sendBy(vs, output, msg, t)
@@ -131,7 +161,7 @@ func (hc *Capability) SendBy(output int, msg Message, t ts.Timestamp) {
 
 // SendBatchBy is SendBy for a whole batch, consuming one reference to b.
 func (hc *Capability) SendBatchBy(output int, b *Batch, t ts.Timestamp) {
-	cur := hc.current("SendBatchBy")
+	_, cur := hc.current("SendBatchBy")
 	w, vs := hc.w, hc.w.vertices[hc.stage]
 	vs.timeStack = append(vs.timeStack, timeFrame{t: cur.pc.Time(), canSend: true})
 	w.sendBatchBy(vs, output, b, t)
@@ -140,34 +170,32 @@ func (hc *Capability) SendBatchBy(output int, b *Batch, t ts.Timestamp) {
 
 // current resolves the capability against the vertex's current incarnation,
 // panicking if it was dropped.
-func (hc *Capability) current(op string) *Capability {
+func (hc *Capability) current(op string) (int, *Capability) {
 	vs := hc.w.vertices[hc.stage]
-	cur, ok := vs.heldCaps[hc.seq]
+	i, ok := vs.heldIndex(hc.seq)
 	if !ok {
 		panic(fmt.Sprintf("runtime: %s: %s on dropped capability %d", vs.si.name, op, hc.seq))
 	}
-	return cur
+	return i, vs.heldCaps[i]
 }
 
-// dropHeldCap handles ctlCapDrop on the worker thread. Missing (stage, seq)
-// means the token was already retired — a duplicate async drop, or a drop
-// that landed before a crash and was reproduced from the delivery log — and
-// is silently ignored; exactly one resolution posts the -1. Live drops are
-// logged so a revived worker's replay retires the re-minted token too.
+// dropHeldCap retires entry (stage, seq) for an asynchronous drop: live from
+// ctlCapDrop, and again when a revived worker replays the logged drop. A
+// missing entry means the token was already retired — a duplicate async
+// drop, or a replayed callback that dropped it synchronously — and is
+// ignored; exactly one resolution posts the -1. Live drops are logged so
+// replay retires the re-minted token too.
 func (w *worker) dropHeldCap(stage StageID, seq uint64) {
 	vs := w.vertices[stage]
 	if vs == nil {
 		return
 	}
-	cur, ok := vs.heldCaps[seq]
+	i, ok := vs.heldIndex(seq)
 	if !ok {
 		return
 	}
-	if w.dlogs != nil {
-		if lg := w.dlogs[stage]; lg != nil {
-			lg.add(vlogEntry{kind: vlogCapDrop, seq: seq})
-		}
-	}
-	delete(vs.heldCaps, seq)
+	w.logEntry(vs, vlogEntry{kind: vlogCapDrop, seq: seq})
+	cur := vs.heldCaps[i]
+	vs.retire(i)
 	cur.pc.TryDrop()
 }

@@ -29,9 +29,8 @@ type Snapshot struct {
 }
 
 // checkpointState is the rendezvous object shared by the workers while a
-// checkpoint or restore is in progress. cut is set when restoring an
-// asynchronous-barrier cut: vertex fragments travel in snap, and the cut's
-// pending notifications and in-flight channel batches ride alongside.
+// checkpoint or restore is in progress. cut is set when the snapshot being
+// restored came from an asynchronous-barrier cut.
 type checkpointState struct {
 	mu   sync.Mutex
 	snap *Snapshot
@@ -90,29 +89,7 @@ func (e *UnknownStageError) Error() string {
 // InputEpochs) is rejected with *UnknownStageError before any vertex state
 // is touched.
 func (c *Computation) Restore(snap *Snapshot) error {
-	if !c.started {
-		return fmt.Errorf("runtime: Restore before Start")
-	}
-	for sid := range snap.Vertices {
-		if int(sid) < 0 || int(sid) >= len(c.stages) {
-			return &UnknownStageError{Stage: sid}
-		}
-	}
-	for sid := range snap.InputEpochs {
-		if int(sid) < 0 || int(sid) >= len(c.stages) {
-			return &UnknownStageError{Stage: sid}
-		}
-	}
-	cp := &checkpointState{snap: snap}
-	if err := c.rendezvous(ctlRestore, cp); err != nil {
-		return err
-	}
-	for _, in := range c.inputs {
-		if e, ok := snap.InputEpochs[in.stage]; ok && e > in.Epoch() {
-			in.AdvanceTo(e)
-		}
-	}
-	return nil
+	return c.restore(&checkpointState{snap: snap})
 }
 
 // RestoreCut loads an asynchronous-barrier cut into a freshly started
@@ -122,35 +99,39 @@ func (c *Computation) Restore(snap *Snapshot) error {
 // and the inputs advance to their cut positions. The caller owns
 // redelivery of everything past the boundary — exactly as for Restore —
 // by replaying its input log from the restored epochs; that replay also
-// regenerates the cut's pending notifications and deferred channel
-// batches, which therefore must NOT be re-injected here (doing so would
-// deliver them twice). They exist for selective rollback (ReviveWorker),
-// where the delivery log — not a replayed feed — reconstructs the
-// post-boundary execution. The same forward-only input rule and
-// UnknownStageError validation as Restore apply.
+// regenerates the cut's obligations (held capabilities, notification
+// requests) and deferred channel batches, which therefore must NOT be
+// re-injected here (doing so would deliver them twice). They exist for
+// selective rollback (ReviveWorker), where the delivery log — not a
+// replayed feed — reconstructs the post-boundary execution. The same
+// forward-only input rule and UnknownStageError validation as Restore
+// apply.
 func (c *Computation) RestoreCut(cut *CutSnapshot) error {
-	if !c.started {
-		return fmt.Errorf("runtime: RestoreCut before Start")
-	}
-	for sid := range cut.Vertices {
-		if int(sid) < 0 || int(sid) >= len(c.stages) {
-			return &UnknownStageError{Stage: sid}
-		}
-	}
-	for sid := range cut.InputEpochs {
-		if int(sid) < 0 || int(sid) >= len(c.stages) {
-			return &UnknownStageError{Stage: sid}
-		}
-	}
-	cp := &checkpointState{
+	return c.restore(&checkpointState{
 		snap: &Snapshot{Vertices: cut.Vertices, InputEpochs: cut.InputEpochs},
 		cut:  cut,
+	})
+}
+
+func (c *Computation) restore(cp *checkpointState) error {
+	if !c.started {
+		return fmt.Errorf("runtime: Restore before Start")
+	}
+	for sid := range cp.snap.Vertices {
+		if int(sid) < 0 || int(sid) >= len(c.stages) {
+			return &UnknownStageError{Stage: sid}
+		}
+	}
+	for sid := range cp.snap.InputEpochs {
+		if int(sid) < 0 || int(sid) >= len(c.stages) {
+			return &UnknownStageError{Stage: sid}
+		}
 	}
 	if err := c.rendezvous(ctlRestore, cp); err != nil {
 		return err
 	}
 	for _, in := range c.inputs {
-		if e, ok := cut.InputEpochs[in.stage]; ok && e > in.Epoch() {
+		if e, ok := cp.snap.InputEpochs[in.stage]; ok && e > in.Epoch() {
 			in.AdvanceTo(e)
 		}
 	}
@@ -238,8 +219,14 @@ func (w *worker) restoreVertices(cp *checkpointState) error {
 		cpr.Restore(codec.NewDecoder(data))
 	}
 	if cut := cp.cut; cut != nil {
-		if err := w.restoreCutExtras(cut); err != nil {
-			return err
+		// Record the cut as the revival baseline for selective rollback before
+		// the next complete cut, stripped to what was actually applied
+		// (fragments and input positions): a later snap-less revival replays
+		// the whole post-restore delivery log against the same starting state
+		// the live worker had.
+		w.restoredCut = &CutSnapshot{
+			Cut: cut.Cut, Epoch: cut.Epoch,
+			Vertices: cut.Vertices, InputEpochs: cut.InputEpochs,
 		}
 	}
 	if w.tracer != nil {
@@ -247,23 +234,6 @@ func (w *worker) restoreVertices(cp *checkpointState) error {
 			Kind: trace.EvRestore, Worker: int32(w.id), Stage: -1, Loc: -1,
 			Epoch: -1, Dur: w.tracer.Now() - t0,
 		})
-	}
-	return nil
-}
-
-// restoreCutExtras records the cut as the worker's revival baseline for
-// selective rollback before the next complete cut. Nothing else from the
-// cut is applied on a full restore: the fragments sit exactly on the cut's
-// epoch boundary, and the feeding client's replay of every epoch at or
-// past it regenerates the cut's pending notifications and deferred channel
-// batches — applying them here too would deliver each twice. The baseline
-// is stripped to what was actually applied (fragments and input positions)
-// so a later snap-less revival replays the whole post-restore delivery log
-// against the same starting state the live worker had.
-func (w *worker) restoreCutExtras(cut *CutSnapshot) error {
-	w.restoredCut = &CutSnapshot{
-		Cut: cut.Cut, Epoch: cut.Epoch,
-		Vertices: cut.Vertices, InputEpochs: cut.InputEpochs,
 	}
 	return nil
 }

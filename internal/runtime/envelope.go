@@ -93,18 +93,6 @@ func decodeDataBatch(c *Computation, payload []byte) (ci *connInfo, dstVertex, s
 	return ci, dstVertex, srcVertex, t, batchbuf.Wrap(ci.cod.DecodeBatch(d, n))
 }
 
-// decodeData parses a full data frame into a boxed record slice.
-func decodeData(c *Computation, payload []byte) (ci *connInfo, dstVertex, srcVertex int, t ts.Timestamp, records []Message) {
-	d := codec.NewDecoder(payload)
-	ci = c.conn(graph.ConnectorID(d.Uint32()))
-	dstVertex = int(d.Uint32())
-	srcVertex = int(d.Uint32())
-	t = decodeTime(d)
-	n := d.Count(1)
-	records = ci.cod.DecodeBatch(d, n)
-	return ci, dstVertex, srcVertex, t, records
-}
-
 // decodeTime reads the wire form of a timestamp (epoch, depth, counters)
 // and rebuilds it through the constructor, so the counters-beyond-Depth-
 // are-zero invariant holds even for corrupt input.

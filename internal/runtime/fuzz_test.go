@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 
 	"naiad/internal/batchbuf"
@@ -99,6 +102,19 @@ func FuzzDecodeData(f *testing.F) {
 	})
 }
 
+// decodeData parses a full data frame into a boxed record slice: the
+// reference decoder the batch decode path is checked against.
+func decodeData(c *Computation, payload []byte) (ci *connInfo, dstVertex, srcVertex int, t ts.Timestamp, records []Message) {
+	d := codec.NewDecoder(payload)
+	ci = c.conn(graph.ConnectorID(d.Uint32()))
+	dstVertex = int(d.Uint32())
+	srcVertex = int(d.Uint32())
+	t = decodeTime(d)
+	n := d.Count(1)
+	records = ci.cod.DecodeBatch(d, n)
+	return ci, dstVertex, srcVertex, t, records
+}
+
 // FuzzBatchDecode corrupts data-frame envelopes against the typed batch
 // decode path: decodeDataBatch must error through Catch on damage, never
 // over-allocate from the count field, and anything it accepts must agree
@@ -176,23 +192,68 @@ func FuzzBarrierDecode(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalCut corrupts serialized cut snapshots (the v2 NSNP format):
-// bytes come off disk, so damage must surface as an error, never a panic,
-// and accepted cuts must not have over-allocated from count fields.
-func FuzzUnmarshalCut(f *testing.F) {
+// mixedCut is a cut whose obligations section holds one entry of every
+// shape: a plain held capability, a NotifyAt, a NotifyAtCap with guarantee ≠
+// capability, and a purge notification.
+func mixedCut() *CutSnapshot {
 	cut := newCutSnapshot(3, 2)
 	cut.Vertices[1] = map[int][]byte{0: []byte("counter-state")}
 	cut.InputEpochs[0] = 2
-	cut.Pending[1] = map[int][]PendingNotification{0: {
-		{Guarantee: ts.Root(2), Capability: ts.Root(2), HasCap: true},
-		{Guarantee: ts.Root(3)},
+	inner := ts.Root(2).PushLoop()
+	cut.Caps[1] = map[int][]HeldCapability{0: {
+		{Seq: 4, HasCap: true, Time: ts.Root(1)},
+		{Seq: 7, HasCap: true, Time: ts.Root(2), Notify: true, Guarantee: ts.Root(2)},
+		{Seq: 8, HasCap: true, Time: inner.WithInner(3), Notify: true, Guarantee: inner},
+		{Seq: 11, Notify: true, Guarantee: ts.Root(3)},
 	}}
+	cut.Caps[2] = map[int][]HeldCapability{1: {{Seq: 0, Notify: true, Guarantee: ts.Root(2)}}}
 	cut.Channels = [][]byte{{1, 2, 3, 4}, {5}}
-	valid := EncodeCut(cut)
+	return cut
+}
+
+// withCutVersion re-stamps encoded cut bytes with another format version.
+func withCutVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[4:8], v)
+	return out
+}
+
+// TestCutRoundTripMixedObligations pins the v4 cut layout: every entry shape
+// of the one obligations section survives encode/decode, and bytes stamped
+// with an older version are refused with ErrCutVersion.
+func TestCutRoundTripMixedObligations(t *testing.T) {
+	cut := mixedCut()
+	data := EncodeCut(cut)
+	got, err := UnmarshalCut(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cut) {
+		t.Fatalf("cut round trip:\n got %+v\nwant %+v", got, cut)
+	}
+	for _, v := range []uint32{1, 2, 3, 5} {
+		if _, err := UnmarshalCut(withCutVersion(data, v)); !errors.Is(err, ErrCutVersion) {
+			t.Errorf("version %d: got %v, want ErrCutVersion", v, err)
+		}
+	}
+	if _, err := UnmarshalCut(EncodeSnapshot(&Snapshot{})); !errors.Is(err, ErrCutVersion) {
+		t.Errorf("stop-the-world snapshot bytes: got %v, want ErrCutVersion", err)
+	}
+}
+
+// FuzzUnmarshalCut corrupts serialized cut snapshots (the v4 NSNP format):
+// bytes come off disk, so damage must surface as an error, never a panic,
+// accepted cuts must not have over-allocated from count fields, and whatever
+// is accepted must survive a re-encode round trip — revival trusts the
+// obligations section's flags and sequence order.
+func FuzzUnmarshalCut(f *testing.F) {
+	valid := EncodeCut(mixedCut())
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:snapshotHeaderSize])
-	f.Add([]byte{0x50, 0x4e, 0x53, 0x4e, 2, 0, 0, 0, 0, 0, 0, 0, 255, 255})
+	f.Add(withCutVersion(valid, 3))
+	f.Add(EncodeCut(newCutSnapshot(1, 1)))
+	f.Add([]byte{0x50, 0x4e, 0x53, 0x4e, 4, 0, 0, 0, 0, 0, 0, 0, 255, 255})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s *CutSnapshot
@@ -214,6 +275,9 @@ func FuzzUnmarshalCut(f *testing.F) {
 		}
 		if total > len(data) {
 			t.Fatalf("cut claims %d payload bytes from %d input bytes", total, len(data))
+		}
+		if again, err := UnmarshalCut(EncodeCut(s)); err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("accepted cut does not round-trip: %v", err)
 		}
 	})
 }

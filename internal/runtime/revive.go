@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"naiad/internal/codec"
 	"naiad/internal/graph"
@@ -28,7 +27,8 @@ type vlogEntryKind uint8
 const (
 	// vlogRecv is one delivered data batch (encoded data frame).
 	vlogRecv vlogEntryKind = iota
-	// vlogNotify is one delivered notification (identified by guarantee).
+	// vlogNotify is one delivered notification (identified, like every
+	// obligations-table entry, by its per-vertex sequence number).
 	vlogNotify
 	// vlogAdvance moved an input vertex to a new epoch.
 	vlogAdvance
@@ -41,18 +41,20 @@ const (
 )
 
 type vlogEntry struct {
-	kind      vlogEntryKind
-	payload   []byte       // vlogRecv
-	guarantee ts.Timestamp // vlogNotify (capability comes from the pending list)
-	epoch     int64        // vlogAdvance
-	seq       uint64       // vlogCapDrop
+	kind    vlogEntryKind
+	payload []byte // vlogRecv
+	epoch   int64  // vlogAdvance
+	seq     uint64 // vlogNotify, vlogCapDrop
 }
 
 // vlogSeg is the run of entries a vertex observed after snapshotting for
 // `cut` (the first segment, tagged 0, covers everything since start or
-// since the last full restore).
+// since the last full restore). nextSeq is the vertex's obligation sequence
+// counter at the segment's start: replay must continue the exact numbering
+// the entries refer to.
 type vlogSeg struct {
 	cut     int64
+	nextSeq uint64
 	entries []vlogEntry
 }
 
@@ -71,8 +73,8 @@ func (l *vlog) add(e vlogEntry) {
 }
 
 // begin opens a new segment at a cut's snapshot boundary.
-func (l *vlog) begin(cut int64) {
-	l.segs = append(l.segs, vlogSeg{cut: cut})
+func (l *vlog) begin(cut int64, nextSeq uint64) {
+	l.segs = append(l.segs, vlogSeg{cut: cut, nextSeq: nextSeq})
 }
 
 // abortSeg merges an aborted cut's segment back into its predecessor: the
@@ -186,7 +188,7 @@ func (w *worker) park() bool {
 }
 
 // revive rebuilds the worker's vertices and reconstructs their state:
-// restore the cut's fragments (state bytes, pending notifications, input
+// restore the cut's fragments (state bytes, obligations table, input
 // positions), then replay the delivery log from the cut boundary with side
 // effects suppressed. The progress tracker, channel counters, and delivery
 // log itself survive the crash — they describe the channels, which never
@@ -203,26 +205,36 @@ func (w *worker) revive(snap *CutSnapshot) error {
 	} else {
 		base = w.restoredCut
 	}
+	// Batches a vertex had deferred for an alignment the crash tore are in
+	// neither the delivery log (never processed) nor the mailbox (already
+	// taken): carry them over and, once the state is rebuilt, redeliver them
+	// as ordinary traffic ahead of everything that arrived later.
+	var deferred []delivery
+	for _, vs := range w.vsList {
+		deferred = append(deferred, vs.barrierDefer...)
+	}
 	w.buildVertices()
 	// The dead incarnation's token book is void: its tokens' occurrence
 	// counts live on in every tracker (posts were broadcast and never
 	// retracted), and the reconstruction below re-mints seeded stand-ins for
 	// exactly the tokens that were live at the snapshot instant.
 	w.caps.Reset()
-	if base != nil {
-		for _, vs := range w.vsList {
-			// Re-mint capabilities held at the snapshot instant before the
-			// fragment restores, so Restore can reattach to them by Seq.
-			if frag, ok := base.Caps[vs.si.id][vs.vertexIdx]; ok {
-				vs.nextCapSeq = frag.Next
-				for _, h := range frag.Held {
-					pc := w.caps.MintSeeded(progress.Pointstamp{Time: h.Time, Loc: graph.StageLoc(vs.si.id)})
-					pc.SetSeq(h.Seq)
-					if vs.heldCaps == nil {
-						vs.heldCaps = make(map[uint64]*Capability)
-					}
-					vs.heldCaps[h.Seq] = &Capability{w: w, stage: vs.si.id, seq: h.Seq, pc: pc}
+	w.notifyCount = 0
+	w.notifyCands = w.notifyCands[:0]
+	w.notifyDirty = true // the first delivery pass rebuilds from the tables
+	for _, vs := range w.vsList {
+		if base != nil {
+			// Re-mint the obligations live at the snapshot instant before the
+			// fragment restores, so Restore can reattach to capabilities by Seq.
+			for _, h := range base.Caps[vs.si.id][vs.vertexIdx] {
+				hc := &Capability{w: w, stage: vs.si.id, seq: h.Seq, notify: h.Notify, guarantee: h.Guarantee}
+				if h.HasCap {
+					hc.pc = w.caps.MintSeeded(progress.Pointstamp{Time: h.Time, Loc: graph.StageLoc(vs.si.id)})
 				}
+				if h.Notify {
+					w.notifyCount++
+				}
+				vs.heldCaps = append(vs.heldCaps, hc)
 			}
 			if frag, ok := base.Vertices[vs.si.id][vs.vertexIdx]; ok {
 				cpr, isCp := vs.vertex.(Checkpointer)
@@ -234,37 +246,24 @@ func (w *worker) revive(snap *CutSnapshot) error {
 					return fmt.Errorf("runtime: restoring stage %s vertex %d: %w", vs.si.name, vs.vertexIdx, err)
 				}
 			}
-			for _, pn := range base.Pending[vs.si.id][vs.vertexIdx] {
-				nr := notifyReq{guarantee: pn.Guarantee, capability: pn.Capability, hasCap: pn.HasCap}
-				if pn.HasCap {
-					nr.cap = w.caps.MintSeeded(progress.Pointstamp{Time: pn.Capability, Loc: graph.StageLoc(vs.si.id)})
-				}
-				insertPending(vs, nr)
-			}
-			if e, ok := base.InputEpochs[vs.si.id]; ok && vs.si.role == graph.RoleInput {
-				vs.inputEpoch = e
-			}
 		}
-	}
-	// Every input vertex gets its seed token back at its restored epoch;
-	// replayed advances and closes move it (with posts suppressed) to exactly
-	// where the pre-crash token stood.
-	for _, vs := range w.vsList {
 		if vs.si.role == graph.RoleInput {
+			// The seed token comes back at the restored epoch; replayed advances
+			// and closes move it (with posts suppressed) to exactly where the
+			// pre-crash token stood.
+			if base != nil {
+				vs.inputEpoch = base.InputEpochs[vs.si.id]
+			}
 			vs.inputCap = w.caps.MintSeeded(progress.Pointstamp{Time: ts.Root(vs.inputEpoch), Loc: graph.StageLoc(vs.si.id)})
 		}
 	}
 	if err := w.replayLogs(segFrom); err != nil {
 		return err
 	}
-	// Rebuild derived notification state from the reconstructed pending
-	// lists; the next frontier movement re-surfaces deliverable candidates.
-	w.notifyCount = 0
-	for _, vs := range w.vsList {
-		w.notifyCount += len(vs.pending)
+	for _, d := range deferred {
+		d.vs = w.vertices[d.ci.dst]
+		w.localQ = append(w.localQ, d)
 	}
-	w.notifyCands = w.notifyCands[:0]
-	w.notifyDirty = true
 	if tr := w.tracer; tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvRestart, Aux: -1, Worker: int32(w.id), Stage: -1, Loc: -1,
@@ -274,23 +273,12 @@ func (w *worker) revive(snap *CutSnapshot) error {
 	return nil
 }
 
-// insertPending inserts a notification request sorted by guarantee, without
-// posting occurrence counts (revival paths only: the counts were posted by
-// the original execution and never released).
-func insertPending(vs *vertexState, nr notifyReq) {
-	i := sort.Search(len(vs.pending), func(i int) bool {
-		return nr.guarantee.Compare(vs.pending[i].guarantee) < 0
-	})
-	vs.pending = append(vs.pending, notifyReq{})
-	copy(vs.pending[i+1:], vs.pending[i:])
-	vs.pending[i] = nr
-}
-
 // replayLogs re-runs each hosted vertex's delivery log from the given cut
-// boundary (0 = from the log's beginning). Vertex states are independent
-// under suppression — sends were already delivered and logged at their
-// receivers — so per-vertex sequential replay reproduces the pre-crash
-// interleaving's effects exactly.
+// boundary (0 = from the log's beginning) through the live delivery
+// routines, with w.replaying set: sendBy and postUpdate drop every side
+// effect — the original execution already sent the messages and posted the
+// counts, and the sends were logged at their receivers — so per-vertex
+// sequential replay reproduces the pre-crash interleaving's effects exactly.
 func (w *worker) replayLogs(cut int64) error {
 	if w.dlogs == nil {
 		if cut != 0 {
@@ -301,14 +289,11 @@ func (w *worker) replayLogs(cut int64) error {
 	w.replaying = true
 	defer func() { w.replaying = false }()
 	for _, vs := range w.vsList {
-		lg := w.dlogs[vs.si.id]
-		if lg == nil {
-			continue
-		}
-		segs, err := lg.from(cut)
+		segs, err := w.dlogs[vs.si.id].from(cut)
 		if err != nil {
 			return fmt.Errorf("runtime: stage %s vertex %d: %w", vs.si.name, vs.vertexIdx, err)
 		}
+		vs.nextCapSeq = segs[0].nextSeq
 		for _, seg := range segs {
 			for i := range seg.entries {
 				if err := w.replayEntry(vs, &seg.entries[i]); err != nil {
@@ -323,51 +308,22 @@ func (w *worker) replayLogs(cut int64) error {
 func (w *worker) replayEntry(vs *vertexState, e *vlogEntry) error {
 	switch e.kind {
 	case vlogRecv:
-		ci, _, _, t, records := decodeData(w.comp, e.payload)
-		input := ci.inputIdx
-		for _, rec := range records {
-			vs.timeStack = append(vs.timeStack, timeFrame{t: t, canSend: true})
-			vs.ctx.executing++
-			vs.vertex.OnRecv(input, rec, t)
-			vs.ctx.executing--
-			vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
-		}
+		ci, _, _, t, b := decodeDataBatch(w.comp, e.payload)
+		w.deliver(vs, ci.inputIdx, b, nil, t)
+		b.Release()
 	case vlogNotify:
-		i := sort.Search(len(vs.pending), func(i int) bool {
-			return e.guarantee.Compare(vs.pending[i].guarantee) <= 0
-		})
-		if i >= len(vs.pending) || vs.pending[i].guarantee != e.guarantee {
-			return fmt.Errorf("runtime: replay of stage %s vertex %d: logged notification at %v has no pending request",
-				vs.si.name, vs.vertexIdx, e.guarantee)
+		i, ok := vs.heldIndex(e.seq)
+		if !ok || !vs.heldCaps[i].notify {
+			return fmt.Errorf("runtime: replay of stage %s vertex %d: logged notification %d has no pending request",
+				vs.si.name, vs.vertexIdx, e.seq)
 		}
-		nr := vs.pending[i]
-		vs.pending = append(vs.pending[:i], vs.pending[i+1:]...)
-		vs.timeStack = append(vs.timeStack, timeFrame{t: nr.capability, canSend: nr.hasCap})
-		vs.ctx.executing++
-		vs.vertex.OnNotify(nr.guarantee)
-		vs.ctx.executing--
-		vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
-		if nr.cap != nil {
-			nr.cap.Drop() // suppressed post; the original delivery posted the -1
-		}
+		w.notify(vs, i)
 	case vlogAdvance:
-		if vs.inputCap != nil && !vs.inputCap.Dropped() {
-			vs.inputCap.Downgrade(ts.Root(e.epoch))
-		}
-		vs.inputEpoch = e.epoch
+		w.advanceInput(vs, e.epoch)
 	case vlogClose:
-		vs.inputClosed = true
-		if vs.inputCap != nil {
-			vs.inputCap.TryDrop()
-		}
+		w.closeInput(vs)
 	case vlogCapDrop:
-		// The asynchronous drop landed before the crash; retire the re-minted
-		// token the same way. A missing seq means a replayed callback already
-		// dropped it synchronously.
-		if cur, ok := vs.heldCaps[e.seq]; ok {
-			delete(vs.heldCaps, e.seq)
-			cur.pc.TryDrop()
-		}
+		w.dropHeldCap(vs.si.id, e.seq)
 	}
 	return nil
 }

@@ -121,7 +121,7 @@ func (c *Context) NotifyAt(t ts.Timestamp) {
 // frontiers only at capability. capability must be ≥ the current callback
 // time; guarantee may be anything ≥ it as well.
 func (c *Context) NotifyAtCap(guarantee, capability ts.Timestamp) {
-	c.w.notifyAtCap(c.vs, guarantee, capability)
+	c.w.notifyAt(c.vs, guarantee, capability, true)
 }
 
 // NotifyAtPurge requests a "state purging" notification (§2.4): it is

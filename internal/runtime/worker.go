@@ -3,7 +3,9 @@ package runtime
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"naiad/internal/batchbuf"
@@ -14,18 +16,6 @@ import (
 	"naiad/internal/trace"
 	"naiad/internal/transport"
 )
-
-// notifyReq is a pending notification request (§2.2, generalized per §2.4
-// with separate guarantee and capability times). cap is the timestamp token
-// the request holds in the worker's capability book (nil for purge
-// notifications): minted when the request is filed, dropped when the
-// notification delivers.
-type notifyReq struct {
-	guarantee  ts.Timestamp
-	capability ts.Timestamp
-	hasCap     bool
-	cap        *progress.Capability
-}
 
 // frame is one entry of a vertex's callback-time stack: the timestamp the
 // current callback runs at, and whether sending is permitted (false inside
@@ -43,7 +33,6 @@ type vertexState struct {
 	bv        BatchVertex // non-nil when vertex implements the batch fast path
 	vertexIdx int
 	timeStack []timeFrame
-	pending   []notifyReq // sorted by guarantee (Compare order)
 
 	// input-stage bookkeeping. inputCap is the vertex's seed token: minted
 	// seeded at Root(0) (the occurrence is installed directly by seedInputs),
@@ -53,11 +42,12 @@ type vertexState struct {
 	inputClosed bool
 	inputCap    *progress.Capability
 
-	// Held-capability bookkeeping (Context.HoldCapability). heldCaps maps the
-	// per-vertex sequence number to the live token; nextCapSeq numbers the
-	// next hold. Replayed callbacks re-execute in log order, so sequence
-	// assignment is deterministic across crash and revival.
-	heldCaps   map[uint64]*Capability
+	// The vertex's obligations table (capability.go): every held capability
+	// and every outstanding notification request, ordered by the per-vertex
+	// sequence number nextCapSeq hands out. Replayed callbacks re-execute in
+	// log order, so sequence assignment is deterministic across crash and
+	// revival.
+	heldCaps   []*Capability
 	nextCapSeq uint64
 
 	// Barrier alignment state (asynchronous snapshots). barrierCut is the
@@ -67,19 +57,16 @@ type vertexState struct {
 	// aligning, the vertex processes epoch-<E work normally; epoch-≥E
 	// batches are logged into barrierChans (the cut's in-flight channel
 	// state) and held in barrierDefer, in arrival order, until the snapshot
-	// completes. barrierFrag/barrierPending capture the fragment at the
-	// snapshot instant — after every marker has arrived and every sub-
-	// boundary notification has fired, so the fragment sits exactly on the
-	// epoch boundary.
-	barrierCut     int64
-	lastCut        int64
-	barrierWait    map[uint64]bool
-	barrierFrag    []byte
-	barrierPending []PendingNotification
-	barrierChans   [][]byte
-	barrierDefer   []delivery
-	barrierEpoch   int64
-	barrierT0      int64
+	// completes. The snapshot is taken after every marker has arrived and
+	// every sub-boundary notification has fired, so the fragment sits exactly
+	// on the epoch boundary.
+	barrierCut   int64
+	lastCut      int64
+	barrierWait  map[uint64]bool
+	barrierChans [][]byte
+	barrierDefer []delivery
+	barrierEpoch int64
+	barrierT0    int64
 }
 
 // outKey identifies one pending outgoing batch.
@@ -115,14 +102,14 @@ type delivery struct {
 	uncounted bool
 }
 
-// notifyCand is one entry of the deliverable-candidate queue: a vertex
-// whose pending list held a request at this guarantee time with no active
+// notifyCand is one entry of the deliverable-candidate queue: a notification
+// entry of a vertex's obligations table whose guarantee time had no active
 // precursor when the queue was last built. Candidates are revalidated
-// against the live tracker before delivery, so a stale entry is dropped,
-// never delivered unsafely.
+// against the table and the live tracker before delivery, so a stale entry
+// is dropped, never delivered unsafely.
 type notifyCand struct {
-	vs        *vertexState
-	guarantee ts.Timestamp
+	vs *vertexState
+	hc *Capability
 }
 
 // worker is one scheduler thread (§3.2): it owns a partition of the
@@ -445,30 +432,9 @@ func (w *worker) handleControl(ctl *controlMsg) {
 			w.sendBatchBy(vs, 0, ctl.batch, t)
 		}
 	case ctlInputAdvance:
-		vs := w.vertices[ctl.stage]
-		// Each downgrade posts +1 at the new epoch before -1 at the old one —
-		// the same positives-first pair the pre-capability code posted, now
-		// derived from the seed token's movement.
-		for e := vs.inputEpoch; e < ctl.epoch; e++ {
-			vs.inputCap.Downgrade(ts.Root(e + 1))
-		}
-		vs.inputEpoch = ctl.epoch
-		if w.dlogs != nil {
-			if lg := w.dlogs[ctl.stage]; lg != nil {
-				lg.add(vlogEntry{kind: vlogAdvance, epoch: ctl.epoch})
-			}
-		}
+		w.advanceInput(w.vertices[ctl.stage], ctl.epoch)
 	case ctlInputClose:
-		vs := w.vertices[ctl.stage]
-		if !vs.inputClosed {
-			vs.inputClosed = true
-			vs.inputCap.Drop()
-			if w.dlogs != nil {
-				if lg := w.dlogs[ctl.stage]; lg != nil {
-					lg.add(vlogEntry{kind: vlogClose})
-				}
-			}
-		}
+		w.closeInput(w.vertices[ctl.stage])
 	case ctlCheckpoint:
 		ctl.ack <- w.checkpointVertices(ctl.cp)
 	case ctlRestore:
@@ -484,6 +450,28 @@ func (w *worker) handleControl(ctl *controlMsg) {
 	case ctlCapDrop:
 		w.dropHeldCap(ctl.stage, ctl.hseq)
 	}
+}
+
+// advanceInput moves an input vertex to epoch. Each downgrade of its seed
+// token posts +1 at the new epoch before -1 at the old one, so no tracker
+// sees a transient frontier advance. Live control and log replay both come
+// through here; replay suppresses the posts.
+func (w *worker) advanceInput(vs *vertexState, epoch int64) {
+	for e := vs.inputEpoch; e < epoch; e++ {
+		vs.inputCap.Downgrade(ts.Root(e + 1))
+	}
+	vs.inputEpoch = epoch
+	w.logEntry(vs, vlogEntry{kind: vlogAdvance, epoch: epoch})
+}
+
+// closeInput retires an input vertex's seed token; closing twice is a no-op.
+func (w *worker) closeInput(vs *vertexState) {
+	if vs.inputClosed {
+		return
+	}
+	vs.inputClosed = true
+	vs.inputCap.Drop()
+	w.logEntry(vs, vlogEntry{kind: vlogClose})
 }
 
 // deliverAll drains local work: queued messages first, then deliverable
@@ -559,36 +547,58 @@ func (w *worker) deliverBatch(d delivery) {
 		w.comp.logBatch(vs.si.id, w.encodeFrameOwned(d.ci, vs.vertexIdx, d.src, d.time, d.batch))
 	}
 	w.noteDelivery(d.ci, vs, d.src, d.time, d.batch, d.uncounted)
-	w.invokeRecvBatch(vs, d.ci.inputIdx, d.batch, d.time)
+	w.deliver(vs, d.ci.inputIdx, d.batch, nil, d.time)
 	w.postUpdate(progress.Pointstamp{Time: d.time, Loc: graph.ConnLoc(d.ci.id)}, -int64(n))
 	d.batch.Release()
 }
 
-// invokeRecvBatch delivers one batch to a vertex: a single callback through
-// the BatchVertex fast path when the vertex has one, otherwise one OnRecv
-// per record. Either way the batch costs one activity bump and one
-// time-stack frame. The batch is borrowed — the caller keeps its reference.
-func (w *worker) invokeRecvBatch(vs *vertexState, input int, b *batchbuf.Batch, t ts.Timestamp) {
-	w.comp.activity.Add(1)
-	w.comp.counters.records[vs.si.id].Add(int64(b.Len()))
+// deliver runs a vertex's receive callback — the only place that happens,
+// for live delivery and log replay alike — on batch b, or on the single
+// record one when b is nil (the boxed per-record fast path, which builds no
+// batch). A batch goes through the BatchVertex fast path when the vertex has
+// one, otherwise one OnRecv per record. Either way the delivery costs one
+// activity bump and one time-stack frame. The batch is borrowed — the caller
+// keeps its reference.
+func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, one Message, t ts.Timestamp) {
+	n := 1
+	if b != nil {
+		n = b.Len()
+	}
+	tr := w.observe(w.comp.counters.records, vs, int64(n))
 	vs.timeStack = append(vs.timeStack, timeFrame{t: t, canSend: true})
 	vs.ctx.executing++
 	var t0 int64
-	if tr := w.tracer; tr != nil {
+	if tr != nil {
 		t0 = tr.Now()
 	}
-	if vs.bv != nil {
+	switch {
+	case b == nil:
+		vs.vertex.OnRecv(input, one, t)
+	case vs.bv != nil:
 		vs.bv.OnRecvBatch(input, b, t)
-	} else {
-		for i, n := 0, b.Len(); i < n; i++ {
+	default:
+		for i := 0; i < n; i++ {
 			vs.vertex.OnRecv(input, b.Record(i), t)
 		}
 	}
-	if tr := w.tracer; tr != nil {
-		tr.CallbackN(w.id, int32(vs.si.id), t.Epoch, false, time.Duration(tr.Now()-t0), int64(b.Len()))
+	if tr != nil {
+		tr.CallbackN(w.id, int32(vs.si.id), t.Epoch, false, time.Duration(tr.Now()-t0), int64(n))
 	}
 	vs.ctx.executing--
 	vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
+}
+
+// observe accounts for one callback about to run — the watchdog's activity
+// signal and n on the vertex's stage counter — and returns the tracer to
+// time it with, nil when tracing is off. A replayed callback rebuilds state
+// the original already accounted for: it is neither counted nor traced.
+func (w *worker) observe(counter []atomic.Int64, vs *vertexState, n int64) *trace.Tracer {
+	if w.replaying {
+		return nil
+	}
+	w.comp.activity.Add(1)
+	counter[vs.si.id].Add(n)
+	return w.tracer
 }
 
 // encodeFrame serializes a batch through the worker's pooled frame encoder.
@@ -608,23 +618,6 @@ func (w *worker) encodeFrameOwned(ci *connInfo, dstVertex, srcVertex int, t ts.T
 	return append([]byte(nil), w.encodeFrame(ci, dstVertex, srcVertex, t, b)...)
 }
 
-// invokeRecv runs a single OnRecv callback with time-stack bookkeeping.
-func (w *worker) invokeRecv(vs *vertexState, input int, rec Message, t ts.Timestamp) {
-	w.comp.activity.Add(1)
-	w.comp.counters.records[vs.si.id].Add(1)
-	vs.timeStack = append(vs.timeStack, timeFrame{t: t, canSend: true})
-	vs.ctx.executing++
-	if tr := w.tracer; tr != nil {
-		t0 := tr.Now()
-		vs.vertex.OnRecv(input, rec, t)
-		tr.Callback(w.id, int32(vs.si.id), t.Epoch, false, time.Duration(tr.Now()-t0))
-	} else {
-		vs.vertex.OnRecv(input, rec, t)
-	}
-	vs.ctx.executing--
-	vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
-}
-
 // notifyGated reports whether a pending notification is held back by an
 // in-progress cut alignment: requests at or above the cut's epoch boundary
 // belong to the post-snapshot execution, so they fire only after the
@@ -634,50 +627,54 @@ func notifyGated(vs *vertexState, guarantee ts.Timestamp) bool {
 	return vs.barrierCut != 0 && guarantee.Epoch >= vs.barrierEpoch
 }
 
-// rebuildNotifyCands rescans every vertex's pending list and collects the
-// requests whose guarantee has no active precursor in the local view,
-// ordered by guarantee time (stage id breaking ties). The local tracker
-// changes only when a progress batch is applied, so this scan — formerly
-// the body of every deliverOneNotify call — runs once per frontier
-// movement instead of once per delivered notification.
+// candBefore orders the candidate queue: by guarantee time, stage id
+// breaking ties, then request order within a vertex.
+func candBefore(a, b notifyCand) bool {
+	if c := a.hc.guarantee.Compare(b.hc.guarantee); c != 0 {
+		return c < 0
+	}
+	if a.vs.si.id != b.vs.si.id {
+		return a.vs.si.id < b.vs.si.id
+	}
+	return a.hc.seq < b.hc.seq
+}
+
+// rebuildNotifyCands rescans every vertex's obligations table and collects
+// the notification entries whose guarantee has no active precursor in the
+// local view, in candBefore order. The local tracker changes only when a
+// progress batch is applied, so this scan runs once per frontier movement
+// instead of once per delivered notification.
 func (w *worker) rebuildNotifyCands() {
 	w.notifyDirty = false
 	w.notifyCands = w.notifyCands[:0]
 	for _, vs := range w.vsList {
-		if len(vs.pending) == 0 {
-			continue
-		}
 		loc := graph.StageLoc(vs.si.id)
+		var last *Capability
 		deliverable := false
-		for i, nr := range vs.pending {
-			if notifyGated(vs, nr.guarantee) {
-				continue // resurfaces when the cut settles (clearBarrier)
+		for _, hc := range vs.heldCaps {
+			if !hc.notify || notifyGated(vs, hc.guarantee) {
+				continue // gated requests resurface when the cut settles (clearBarrier)
 			}
-			// pending is guarantee-sorted: equal guarantees share a verdict.
-			if i == 0 || vs.pending[i-1].guarantee != nr.guarantee {
-				deliverable = !w.tracker.SomePrecursorOf(progress.Pointstamp{Time: nr.guarantee, Loc: loc})
+			// Equal guarantees share a verdict; repeats are usually adjacent.
+			if last == nil || last.guarantee != hc.guarantee {
+				deliverable = !w.tracker.SomePrecursorOf(progress.Pointstamp{Time: hc.guarantee, Loc: loc})
 			}
+			last = hc
 			if deliverable {
-				w.notifyCands = append(w.notifyCands, notifyCand{vs: vs, guarantee: nr.guarantee})
+				w.notifyCands = append(w.notifyCands, notifyCand{vs: vs, hc: hc})
 			}
 		}
 	}
-	sort.SliceStable(w.notifyCands, func(i, j int) bool {
-		c := w.notifyCands[i].guarantee.Compare(w.notifyCands[j].guarantee)
-		if c != 0 {
-			return c < 0
-		}
-		return w.notifyCands[i].vs.si.id < w.notifyCands[j].vs.si.id
-	})
+	sort.Slice(w.notifyCands, func(i, j int) bool { return candBefore(w.notifyCands[i], w.notifyCands[j]) })
 }
 
 // deliverOneNotify delivers at most one pending notification whose
 // guarantee time has no active precursor in the local view, taken from the
 // candidate queue. The queue is rebuilt lazily after the tracker changes;
 // each popped candidate is revalidated against the live tracker (and the
-// vertex's current pending list) before delivery, so staleness can only
-// suppress a candidate — never deliver one unsafely. It reports whether a
-// notification was delivered.
+// vertex's current table) before delivery, so staleness can only suppress a
+// candidate — never deliver one unsafely. It reports whether a notification
+// was delivered.
 func (w *worker) deliverOneNotify() bool {
 	if w.notifyDirty {
 		w.rebuildNotifyCands()
@@ -685,21 +682,18 @@ func (w *worker) deliverOneNotify() bool {
 	for len(w.notifyCands) > 0 {
 		cand := w.notifyCands[0]
 		w.notifyCands = w.notifyCands[1:]
-		vs := cand.vs
-		i := sort.Search(len(vs.pending), func(i int) bool {
-			return cand.guarantee.Compare(vs.pending[i].guarantee) <= 0
-		})
-		if i >= len(vs.pending) || vs.pending[i].guarantee != cand.guarantee {
+		vs, hc := cand.vs, cand.hc
+		i, ok := vs.heldIndex(hc.seq)
+		if !ok || vs.heldCaps[i] != hc {
 			continue // already delivered; a duplicate candidate went stale
 		}
-		if notifyGated(vs, cand.guarantee) {
+		if notifyGated(vs, hc.guarantee) {
 			// An alignment began after this candidate was queued; the request
 			// is post-boundary now. clearBarrier marks the queue dirty, so the
 			// rebuild after the cut settles resurfaces it.
 			continue
 		}
-		loc := graph.StageLoc(vs.si.id)
-		p := progress.Pointstamp{Time: cand.guarantee, Loc: loc}
+		p := progress.Pointstamp{Time: hc.guarantee, Loc: graph.StageLoc(vs.si.id)}
 		if w.tracker.SomePrecursorOf(p) {
 			// Inserted optimistically (e.g. before the input seeds) and no
 			// longer deliverable; the rebuild after the next frontier
@@ -711,30 +705,8 @@ func (w *worker) deliverOneNotify() bool {
 				panic(err)
 			}
 		}
-		nr := vs.pending[i]
-		vs.pending = append(vs.pending[:i], vs.pending[i+1:]...)
-		w.notifyCount--
-		if w.dlogs != nil {
-			if lg := w.dlogs[vs.si.id]; lg != nil {
-				lg.add(vlogEntry{kind: vlogNotify, guarantee: nr.guarantee})
-			}
-		}
-		w.comp.activity.Add(1)
-		w.comp.counters.notifications[vs.si.id].Add(1)
-		vs.timeStack = append(vs.timeStack, timeFrame{t: nr.capability, canSend: nr.hasCap})
-		vs.ctx.executing++
-		if tr := w.tracer; tr != nil {
-			t0 := tr.Now()
-			vs.vertex.OnNotify(nr.guarantee)
-			tr.Callback(w.id, int32(vs.si.id), nr.guarantee.Epoch, true, time.Duration(tr.Now()-t0))
-		} else {
-			vs.vertex.OnNotify(nr.guarantee)
-		}
-		vs.ctx.executing--
-		vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
-		if nr.cap != nil {
-			nr.cap.Drop()
-		}
+		w.logEntry(vs, vlogEntry{kind: vlogNotify, seq: hc.seq})
+		w.notify(vs, i)
 		if vs.barrierCut != 0 {
 			// A sub-boundary notification just fired on an aligning vertex;
 			// it may have been the last thing the snapshot was waiting for.
@@ -743,6 +715,36 @@ func (w *worker) deliverOneNotify() bool {
 		return true
 	}
 	return false
+}
+
+// notify runs OnNotify for table entry i of vs — the only place that
+// happens, for live delivery and log replay alike. The entry leaves the
+// table first; the callback runs at the entry's capability time (a purge
+// notification has none and may not send); the token drops when it returns.
+func (w *worker) notify(vs *vertexState, i int) {
+	hc := vs.heldCaps[i]
+	vs.retire(i)
+	w.notifyCount--
+	tr := w.observe(w.comp.counters.notifications, vs, 1)
+	frame := timeFrame{canSend: hc.pc != nil}
+	if hc.pc != nil {
+		frame.t = hc.pc.Time()
+	}
+	vs.timeStack = append(vs.timeStack, frame)
+	vs.ctx.executing++
+	var t0 int64
+	if tr != nil {
+		t0 = tr.Now()
+	}
+	vs.vertex.OnNotify(hc.guarantee)
+	if tr != nil {
+		tr.Callback(w.id, int32(vs.si.id), hc.guarantee.Epoch, true, time.Duration(tr.Now()-t0))
+	}
+	vs.ctx.executing--
+	vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
+	if hc.pc != nil {
+		hc.pc.Drop()
+	}
 }
 
 // sendBy implements Context.SendBy: timestamp adjustment for structural
@@ -913,22 +915,12 @@ func (w *worker) routeBatchTo(src int, ci *connInfo, b *batchbuf.Batch, dstVerte
 			w.chanSent[chanKey(ci.id, dstVertex)]++
 		}
 		vsDst := w.vertices[ci.dst]
-		limit := dstSi.reentrancy
-		if limit == 0 {
-			limit = c.cfg.maxReentrancy()
-		}
-		if c.cfg.DisableLocalFastPath {
-			limit = 0
-		}
-		// Fencing and alignment gates as in routeMessage: a queued marker or
-		// an aligning destination forces the batch through the queue.
-		if w.localFence[ci.id] == 0 && vsDst.ctx.executing < limit &&
-			!(vsDst.barrierCut != 0 && t.Epoch >= vsDst.barrierEpoch) {
+		if w.fastPathOpen(ci, dstSi, vsDst, t) {
 			if dstSi.logged {
 				w.comp.logBatch(dstSi.id, w.encodeFrameOwned(ci, dstVertex, src, t, b))
 			}
 			w.noteDelivery(ci, vsDst, src, t, b, false)
-			w.invokeRecvBatch(vsDst, ci.inputIdx, b, t)
+			w.deliver(vsDst, ci.inputIdx, b, nil, t)
 			w.postUpdate(progress.Pointstamp{Time: t, Loc: graph.ConnLoc(ci.id)}, -int64(b.Len()))
 			b.Release()
 		} else {
@@ -959,6 +951,24 @@ func (w *worker) routeBatchTo(src int, ci *connInfo, b *batchbuf.Batch, dstVerte
 	}
 }
 
+// fastPathOpen reports whether a local delivery to vsDst at time t may run
+// synchronously instead of through the queue: the destination is not too
+// deeply re-entered (§3.2), no queued marker fences the connector —
+// delivering synchronously would put a post-snapshot record ahead of the
+// marker — and the destination is not aligning a cut that t lies beyond,
+// whose records must reach deliverBatch to be deferred.
+func (w *worker) fastPathOpen(ci *connInfo, dstSi *stageInfo, vsDst *vertexState, t ts.Timestamp) bool {
+	limit := dstSi.reentrancy
+	if limit == 0 {
+		limit = w.comp.cfg.maxReentrancy()
+	}
+	if w.comp.cfg.DisableLocalFastPath {
+		limit = 0
+	}
+	return w.localFence[ci.id] == 0 && vsDst.ctx.executing < limit &&
+		!(vsDst.barrierCut != 0 && t.Epoch >= vsDst.barrierEpoch)
+}
+
 // routeMessage delivers msg on one connector: synchronously when the
 // destination vertex is local and not too deeply re-entered, queued
 // locally otherwise, or batched for transmission. vsSrc is the sending
@@ -985,19 +995,7 @@ func (w *worker) routeMessage(vsSrc *vertexState, ci *connInfo, msg Message, t t
 			w.chanSent[chanKey(ci.id, dstVertex)]++
 		}
 		vsDst := w.vertices[ci.dst]
-		limit := dstSi.reentrancy
-		if limit == 0 {
-			limit = c.cfg.maxReentrancy()
-		}
-		if c.cfg.DisableLocalFastPath {
-			limit = 0
-		}
-		// A queued marker on this connector fences the fast path: delivering
-		// synchronously would put a post-snapshot record ahead of the marker.
-		// Likewise a destination aligning a cut must see its epoch-≥boundary
-		// records through the queue, where deliverBatch defers them.
-		if w.localFence[ci.id] == 0 && vsDst.ctx.executing < limit &&
-			!(vsDst.barrierCut != 0 && t.Epoch >= vsDst.barrierEpoch) {
+		if w.fastPathOpen(ci, dstSi, vsDst, t) {
 			if dstSi.logged || w.chanRecv != nil || w.dlogs != nil {
 				one := batchbuf.One(msg)
 				if dstSi.logged {
@@ -1006,7 +1004,7 @@ func (w *worker) routeMessage(vsSrc *vertexState, ci *connInfo, msg Message, t t
 				w.noteDelivery(ci, vsDst, src, t, one, false)
 				one.Release()
 			}
-			w.invokeRecv(vsDst, ci.inputIdx, msg, t)
+			w.deliver(vsDst, ci.inputIdx, nil, msg, t)
 			w.postUpdate(progress.Pointstamp{Time: t, Loc: graph.ConnLoc(ci.id)}, -1)
 		} else {
 			w.localQ = append(w.localQ, delivery{ci: ci, vs: vsDst, src: src, time: t, batch: batchbuf.One(msg)})
@@ -1163,17 +1161,10 @@ func (w *worker) flushProgress() {
 	w.comp.routeWorkerFlush(w.proc, us)
 }
 
-// notifyAt implements Context.NotifyAt and NotifyAtPurge.
+// notifyAt implements Context.NotifyAt, NotifyAtCap and NotifyAtPurge: the
+// request becomes an entry of the vertex's obligations table — a token held
+// at capability (none when !hasCap), marked to notify at guarantee.
 func (w *worker) notifyAt(vs *vertexState, guarantee, capability ts.Timestamp, hasCap bool) {
-	w.notifyAtChecked(vs, guarantee, capability, hasCap)
-}
-
-// notifyAtCap implements Context.NotifyAtCap.
-func (w *worker) notifyAtCap(vs *vertexState, guarantee, capability ts.Timestamp) {
-	w.notifyAtChecked(vs, guarantee, capability, true)
-}
-
-func (w *worker) notifyAtChecked(vs *vertexState, guarantee, capability ts.Timestamp, hasCap bool) {
 	if n := len(vs.timeStack); n > 0 {
 		top := vs.timeStack[n-1]
 		if !top.t.LessEq(guarantee) {
@@ -1185,43 +1176,21 @@ func (w *worker) notifyAtChecked(vs *vertexState, guarantee, capability ts.Times
 				vs.si.name, capability, top.t))
 		}
 	}
-	nr := notifyReq{guarantee: guarantee, capability: capability, hasCap: hasCap}
-	if hasCap {
-		// The request holds a token at its capability time. During replay the
-		// mint's +1 is suppressed (the pre-crash request already posted it) but
-		// the token still registers, so the replayed pending list is live.
-		nr.cap = w.caps.Mint(progress.Pointstamp{Time: capability, Loc: graph.StageLoc(vs.si.id)})
-	}
-	// Insert sorted by guarantee so earlier notifications deliver first.
-	i := sort.Search(len(vs.pending), func(i int) bool {
-		return guarantee.Compare(vs.pending[i].guarantee) < 0
-	})
-	vs.pending = append(vs.pending, notifyReq{})
-	copy(vs.pending[i+1:], vs.pending[i:])
-	vs.pending[i] = nr
+	hc := w.hold(vs, capability, !hasCap)
+	hc.notify, hc.guarantee = true, guarantee
 	w.notifyCount++
-	if w.replaying {
-		return // counts recomputed after replay; no candidate bookkeeping
-	}
 	// Evaluate deliverability at insertion: the candidate queue is only
 	// rebuilt on frontier movement, and an already-deliverable request
 	// would otherwise wait for a progress batch that may never come.
-	if notifyGated(vs, guarantee) {
-		return // post-boundary request; resurfaces when the cut settles
+	// Replayed requests and post-boundary requests on an aligning vertex
+	// wait for the rebuild that revival or the cut's settling forces.
+	if w.replaying || notifyGated(vs, guarantee) || w.notifyDirty || w.tracker == nil ||
+		w.tracker.SomePrecursorOf(progress.Pointstamp{Time: guarantee, Loc: graph.StageLoc(vs.si.id)}) {
+		return
 	}
-	if !w.notifyDirty && w.tracker != nil &&
-		!w.tracker.SomePrecursorOf(progress.Pointstamp{Time: guarantee, Loc: graph.StageLoc(vs.si.id)}) {
-		j := sort.Search(len(w.notifyCands), func(j int) bool {
-			c := guarantee.Compare(w.notifyCands[j].guarantee)
-			if c != 0 {
-				return c < 0
-			}
-			return vs.si.id < w.notifyCands[j].vs.si.id
-		})
-		w.notifyCands = append(w.notifyCands, notifyCand{})
-		copy(w.notifyCands[j+1:], w.notifyCands[j:])
-		w.notifyCands[j] = notifyCand{vs: vs, guarantee: guarantee}
-	}
+	cand := notifyCand{vs: vs, hc: hc}
+	j := sort.Search(len(w.notifyCands), func(j int) bool { return candBefore(cand, w.notifyCands[j]) })
+	w.notifyCands = slices.Insert(w.notifyCands, j, cand)
 }
 
 // checkProbes advances registered probes past epochs that are complete at

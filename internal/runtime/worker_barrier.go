@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"naiad/internal/batchbuf"
 	"naiad/internal/codec"
@@ -67,8 +66,8 @@ func (w *worker) beginAlignment(vs *vertexState, cut, epoch int64) {
 }
 
 // tryCompleteBarrier snapshots an aligning vertex if its boundary has fully
-// drained: every input channel's marker has arrived, and no pending
-// notification below the cut's epoch boundary remains (sub-boundary
+// drained: every input channel's marker has arrived, and no notification
+// request below the cut's epoch boundary remains (sub-boundary
 // notifications must fire into the fragment — they are state transitions of
 // the epochs the cut covers). Called when the alignment set empties and
 // after every notification delivered on an aligning vertex; sub-boundary
@@ -78,48 +77,39 @@ func (w *worker) tryCompleteBarrier(vs *vertexState) {
 	if vs.barrierCut == 0 || len(vs.barrierWait) > 0 {
 		return
 	}
-	// pending is sorted by guarantee, epoch-major: one look at the head.
-	if len(vs.pending) > 0 && vs.pending[0].guarantee.Epoch < vs.barrierEpoch {
-		return
+	for _, hc := range vs.heldCaps {
+		if hc.notify && hc.guarantee.Epoch < vs.barrierEpoch {
+			return
+		}
 	}
 	w.finishBarrier(vs)
 }
 
 // finishBarrier takes the vertex's snapshot at the fully drained boundary:
-// capture the fragment (state bytes and pending notifications — all
-// post-boundary now), open a new delivery-log segment, forward markers
-// downstream ahead of any post-snapshot output, report the fragment, and
-// release the deferred batches.
+// capture the fragment (state bytes and the obligations table — held
+// capabilities, e.g. a sink whose commit I/O for a sealed epoch has not
+// reported back yet, and notification requests, all post-boundary now),
+// open a new delivery-log segment, forward markers downstream ahead of any
+// post-snapshot output, report the fragment, and release the deferred
+// batches.
 func (w *worker) finishBarrier(vs *vertexState) {
 	cut := vs.barrierCut
+	var frag []byte
 	if cpr, ok := vs.vertex.(Checkpointer); ok {
 		enc := codec.NewEncoder(256)
 		cpr.Checkpoint(enc)
-		vs.barrierFrag = append([]byte(nil), enc.Bytes()...)
+		frag = append([]byte(nil), enc.Bytes()...)
 	}
-	if len(vs.pending) > 0 {
-		vs.barrierPending = make([]PendingNotification, len(vs.pending))
-		for i, nr := range vs.pending {
-			vs.barrierPending[i] = PendingNotification{
-				Guarantee: nr.guarantee, Capability: nr.capability, HasCap: nr.hasCap,
-			}
+	var held []HeldCapability
+	for _, hc := range vs.heldCaps {
+		h := HeldCapability{Seq: hc.seq, Notify: hc.notify, Guarantee: hc.guarantee}
+		if hc.pc != nil {
+			h.HasCap, h.Time = true, hc.pc.Time()
 		}
-	}
-	// Capture the held-capability fragment: the sequence counter (replay must
-	// continue the exact numbering) and any capabilities still held — e.g. a
-	// sink whose commit I/O for a sealed epoch has not reported back yet.
-	capFrag := CapFragment{Next: vs.nextCapSeq}
-	if len(vs.heldCaps) > 0 {
-		capFrag.Held = make([]HeldCapability, 0, len(vs.heldCaps))
-		for seq, hc := range vs.heldCaps {
-			capFrag.Held = append(capFrag.Held, HeldCapability{Seq: seq, Time: hc.pc.Time()})
-		}
-		sort.Slice(capFrag.Held, func(i, j int) bool { return capFrag.Held[i].Seq < capFrag.Held[j].Seq })
+		held = append(held, h)
 	}
 	if w.dlogs != nil {
-		if lg := w.dlogs[vs.si.id]; lg != nil {
-			lg.begin(cut)
-		}
+		w.dlogs[vs.si.id].begin(cut, vs.nextCapSeq)
 	}
 	// Flush batched output so everything sent before the snapshot precedes
 	// the markers on every link, then emit the markers themselves.
@@ -131,8 +121,8 @@ func (w *worker) finishBarrier(vs *vertexState) {
 			Loc: -1, Epoch: cut, Dur: tr.Now() - vs.barrierT0, N: int64(len(vs.barrierChans)),
 		})
 	}
-	w.comp.reportCutFragment(cut, vs.si.id, vs.vertexIdx, vs.barrierFrag,
-		vs.barrierPending, capFrag, vs.barrierChans, vs.si.role == graph.RoleInput, vs.inputEpoch)
+	w.comp.reportCutFragment(cut, vs.si.id, vs.vertexIdx, frag, held,
+		vs.barrierChans, vs.si.role == graph.RoleInput, vs.inputEpoch)
 	vs.lastCut = cut
 	w.clearBarrier(vs)
 }
@@ -236,8 +226,6 @@ func (w *worker) clearBarrier(vs *vertexState) {
 	stash := vs.barrierDefer
 	vs.barrierCut = 0
 	vs.barrierWait = nil
-	vs.barrierFrag = nil
-	vs.barrierPending = nil
 	vs.barrierChans = nil
 	vs.barrierDefer = nil
 	for _, d := range stash {
@@ -262,9 +250,7 @@ func (w *worker) abortBarrierCtl(cut int64) {
 	}
 	if w.dlogs != nil {
 		for _, vs := range w.vsList {
-			if lg := w.dlogs[vs.si.id]; lg != nil {
-				lg.abortSeg(cut)
-			}
+			w.dlogs[vs.si.id].abortSeg(cut)
 		}
 	}
 }
@@ -283,9 +269,7 @@ func (w *worker) retireCutCtl(cut int64) {
 	}
 	if w.dlogs != nil {
 		for _, vs := range w.vsList {
-			if lg := w.dlogs[vs.si.id]; lg != nil {
-				lg.retire(cut)
-			}
+			w.dlogs[vs.si.id].retire(cut)
 		}
 	}
 }
@@ -299,8 +283,15 @@ func (w *worker) noteDelivery(ci *connInfo, vs *vertexState, src int, t ts.Times
 		w.chanRecv[chanKey(ci.id, src)]++
 	}
 	if w.dlogs != nil {
-		if lg := w.dlogs[vs.si.id]; lg != nil {
-			lg.add(vlogEntry{kind: vlogRecv, payload: w.encodeFrameOwned(ci, vs.vertexIdx, src, t, b)})
-		}
+		w.logEntry(vs, vlogEntry{kind: vlogRecv, payload: w.encodeFrameOwned(ci, vs.vertexIdx, src, t, b)})
+	}
+}
+
+// logEntry appends a state-changing event to the vertex's delivery log when
+// selective rollback keeps one. Replay re-runs logged events through the
+// live code paths; it must not log them a second time.
+func (w *worker) logEntry(vs *vertexState, e vlogEntry) {
+	if w.dlogs != nil && !w.replaying {
+		w.dlogs[vs.si.id].add(e)
 	}
 }

@@ -1,18 +1,22 @@
 package supervise_test
 
-// Tests for the asynchronous-barrier snapshot path: the quiesce
+// Tests for the asynchronous-barrier snapshot path: the stop-the-world
 // differential oracle, marker-level chaos (drop / duplicate / reorder must
 // stall or abort a cut, never tear it), crash-during-alignment fallback,
 // selective single-worker rollback, and the settle-timer liveness bound.
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"naiad/internal/codec"
+	"naiad/internal/progress"
 	"naiad/internal/runtime"
 	"naiad/internal/supervise"
 	"naiad/internal/testutil"
+	ts "naiad/internal/timestamp"
 	"naiad/internal/transport"
 )
 
@@ -62,10 +66,6 @@ func auditCutStore(t *testing.T, store supervise.SnapshotStore) int {
 		if err != nil {
 			t.Fatalf("loading cut at epoch %d: %v", e, err)
 		}
-		ver, err := runtime.SnapshotFormatVersion(data)
-		if err != nil || ver < 2 {
-			t.Fatalf("epoch %d: version %d, %v — barrier path persisted a non-cut", e, ver, err)
-		}
 		cut, err := runtime.UnmarshalCut(data)
 		if err != nil {
 			t.Fatalf("epoch %d: persisted cut does not decode: %v", e, err)
@@ -81,95 +81,82 @@ func auditCutStore(t *testing.T, store supervise.SnapshotStore) int {
 	return len(eps)
 }
 
-// TestDifferentialQuiesceVsBarrierCut is the oracle test: the same
-// workload checkpointed by the legacy stop-the-world quiesce path and by
-// asynchronous barrier cuts must persist identical vertex state and input
-// positions at every epoch boundary both paths snapshotted.
-func TestDifferentialQuiesceVsBarrierCut(t *testing.T) {
+// TestDifferentialCheckpointVsBarrierCut is the oracle test: the supervisor's
+// asynchronous barrier cuts must persist exactly the vertex state and input
+// positions a stop-the-world checkpoint captures at the same epoch boundary.
+// The oracle side is driven by the test itself: a plain computation fed one
+// epoch at a time, drained on its probe, and checkpointed (paper §3.4) at
+// every boundary.
+func TestDifferentialCheckpointVsBarrierCut(t *testing.T) {
 	const epochs = 6
-	run := func(quiesce bool) supervise.SnapshotStore {
-		store := supervise.NewMemStore(epochs)
-		s := newEpochSink()
-		fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
-			return &counter{ctx: ctx}
-		}, nil)
-		sup, err := supervise.New(supervise.Config{
-			Factory: fact, Store: store, Quiesce: quiesce, Seed: testutil.Seed(t),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedPow2(t, sup, epochs)
-		if err := sup.CloseInput("in"); err != nil {
-			t.Fatal(err)
-		}
-		if err := sup.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.values(epochs - 1); len(got) != 1 || got[0] != int64(1)<<epochs-1 {
-			t.Fatalf("quiesce=%v: final epoch = %v, want [%d]", quiesce, got, int64(1)<<epochs-1)
-		}
-		return store
-	}
-	oracle := run(true)
-	barrier := run(false)
+	mk := func(ctx *runtime.Context) runtime.Vertex { return &counter{ctx: ctx} }
 
-	oracleEps, err := oracle.Epochs()
+	oracleFact, _ := counterFactory(newEpochSink(), mk, nil)
+	ob, err := oracleFact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	barrierSet := make(map[int64]bool)
-	if eps, err := barrier.Epochs(); err != nil {
+	if err := ob.Comp.Start(); err != nil {
 		t.Fatal(err)
-	} else {
-		for _, e := range eps {
-			barrierSet[e] = true
-		}
 	}
-	compared := 0
-	for _, e := range oracleEps {
-		if !barrierSet[e] {
-			continue // the pipelined barrier path may legally skip boundaries
-		}
-		odata, err := oracle.Load(e)
+	oracle := make(map[int64]*runtime.Snapshot)
+	for e := int64(1); e <= epochs; e++ {
+		ob.Inputs["in"].OnNext(int64(1) << (e - 1))
+		ob.Probe.WaitFor(e - 1)
+		snap, err := ob.Comp.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ver, _ := runtime.SnapshotFormatVersion(odata); ver != 1 {
-			t.Fatalf("quiesce path wrote format version %d, want 1", ver)
-		}
-		snap, err := runtime.UnmarshalSnapshot(odata)
+		oracle[e] = snap
+	}
+	ob.Inputs["in"].Close()
+	if err := ob.Comp.Join(); err != nil {
+		t.Fatal(err)
+	}
+
+	store := supervise.NewMemStore(epochs)
+	s := newEpochSink()
+	fact, _ := counterFactory(s, mk, nil)
+	sup, err := supervise.New(supervise.Config{Factory: fact, Store: store, Seed: testutil.Seed(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedPow2(t, sup, epochs)
+	if err := sup.CloseInput("in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.values(epochs - 1); len(got) != 1 || got[0] != int64(1)<<epochs-1 {
+		t.Fatalf("final epoch = %v, want [%d]", got, int64(1)<<epochs-1)
+	}
+
+	eps, err := store.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pipelined barrier path may legally skip boundaries, but the
+	// deferred close forces its last cut at the final one.
+	if len(eps) == 0 || eps[len(eps)-1] != epochs {
+		t.Fatalf("barrier path snapshotted boundaries %v, want the final boundary %d among them", eps, epochs)
+	}
+	for _, e := range eps {
+		data, err := store.Load(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bdata, err := barrier.Load(e)
+		cut, err := runtime.UnmarshalCut(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cut, err := runtime.UnmarshalCut(bdata)
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := oracle[e]
 		if got, want := decodeCounterTotal(t, cut.Vertices), decodeCounterTotal(t, snap.Vertices); got != want {
-			t.Fatalf("epoch %d: barrier cut holds counter total %d, quiesce oracle %d", e, got, want)
+			t.Fatalf("epoch %d: barrier cut holds counter total %d, checkpoint oracle %d", e, got, want)
 		}
-		if len(cut.InputEpochs) != len(snap.InputEpochs) {
-			t.Fatalf("epoch %d: input-epoch maps differ: %v vs %v", e, cut.InputEpochs, snap.InputEpochs)
+		if !reflect.DeepEqual(cut.InputEpochs, snap.InputEpochs) {
+			t.Fatalf("epoch %d: input epochs %v in the cut, %v in the oracle", e, cut.InputEpochs, snap.InputEpochs)
 		}
-		for sid, oe := range snap.InputEpochs {
-			if be, ok := cut.InputEpochs[sid]; !ok || be != oe {
-				t.Fatalf("epoch %d: input stage %d at %d in the cut, %d in the oracle", e, sid, be, oe)
-			}
-		}
-		compared++
-	}
-	if compared == 0 {
-		t.Fatal("no common snapshot boundary between the two paths — differential test compared nothing")
-	}
-	// The final boundary must exist on both sides: the deferred close
-	// forces the barrier path to take its last cut there.
-	if !barrierSet[epochs] {
-		t.Fatalf("barrier path never snapshotted the final boundary %d", epochs)
 	}
 }
 
@@ -367,6 +354,131 @@ func TestSelectiveRollbackKeepsHealthyWorkersRunning(t *testing.T) {
 	}
 	if rec.LastRecovery <= 0 {
 		t.Fatalf("revival duration not recorded: %+v", rec)
+	}
+}
+
+// batchHolder is a counter with the batch fast path that holds one
+// capability per receive *call* — not per record — and has a goroutine drop
+// it when the epoch completes. Its token numbering therefore depends on how
+// deliveries were batched, and the asynchronous drops address tokens by that
+// numbering from outside the vertex.
+type batchHolder struct {
+	counter
+	held    map[int64][]uint64 // epoch → Seqs of the capabilities held for it
+	missing *atomic.Int64      // HeldCap lookups that did not resolve
+}
+
+func (v *batchHolder) hold(t ts.Timestamp) {
+	if v.held == nil {
+		v.held = make(map[int64][]uint64)
+	}
+	v.held[t.Epoch] = append(v.held[t.Epoch], v.ctx.HoldCapability(t).Seq())
+}
+
+func (v *batchHolder) OnRecv(in int, msg runtime.Message, t ts.Timestamp) {
+	v.hold(t)
+	v.counter.OnRecv(in, msg, t)
+}
+
+func (v *batchHolder) OnRecvBatch(in int, b *runtime.Batch, t ts.Timestamp) {
+	v.hold(t)
+	for i := 0; i < b.Len(); i++ {
+		v.counter.OnRecv(in, b.Record(i), t)
+	}
+}
+
+func (v *batchHolder) OnNotify(t ts.Timestamp) {
+	for _, seq := range v.held[t.Epoch] {
+		if hc := v.ctx.HeldCap(seq); hc != nil {
+			go hc.DropAsync()
+		} else {
+			v.missing.Add(1)
+		}
+	}
+	delete(v.held, t.Epoch)
+	v.counter.OnNotify(t)
+}
+
+// TestSelectiveRollbackReplaysBatchesAsBatches: a logged batch that was
+// delivered live through OnRecvBatch must replay through OnRecvBatch. Replay
+// used to unbatch it into one OnRecv per record, so a vertex that holds a
+// capability per call numbered its tokens differently on replay than live —
+// and the drops logged (or still in flight) under the live numbering then
+// retired the wrong tokens: a negative occurrence count, or a leaked token
+// and a run that never completes.
+func TestSelectiveRollbackReplaysBatchesAsBatches(t *testing.T) {
+	progress.AuditCaps(t)
+	s := newEpochSink()
+	var missing atomic.Int64
+	var comp *runtime.Computation
+	fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
+		return &batchHolder{counter: counter{ctx: ctx}, missing: &missing}
+	}, func(inc int64, cfg *runtime.Config) {
+		cfg.Transport = transport.NewMem(2)
+		cfg.SafetyChecks = true
+	})
+	sup, err := supervise.New(supervise.Config{
+		Factory: supervise.Factory(func() (*supervise.Build, error) {
+			b, err := fact()
+			if err == nil {
+				comp = b.Comp
+			}
+			return b, err
+		}),
+		Selective: true, CheckpointEvery: 100, Seed: testutil.Seed(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight records an epoch scatter two to each worker's input vertex, so
+	// the pinned counter receives multi-record batches from its three peers.
+	// No cut is ever taken: revival replays the whole log.
+	feed := func(e int64) {
+		recs := make([]runtime.Message, 8)
+		for i := range recs {
+			recs[i] = int64(1) << (4 * e)
+		}
+		if err := sup.OnNext("in", recs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitEpoch := func(e int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for len(s.values(e)) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("epoch %d never reached the sink", e)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	feed(0)
+	feed(1)
+	waitEpoch(1)
+	if err := comp.CrashWorker(0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sup.Recovery().SelectiveRevivals == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("selective revival never happened: %+v", sup.Recovery())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	feed(2)
+	if err := sup.CloseInput("in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Wait(); err != nil {
+		t.Fatalf("run after selective revival failed: %v", err)
+	}
+	if got := s.values(2); len(got) != 1 || got[0] != 8*0x111 {
+		t.Fatalf("epoch 2 = %v, want [%d]", got, 8*0x111)
+	}
+	if n := missing.Load(); n != 0 {
+		t.Fatalf("%d held capabilities did not resolve by Seq", n)
+	}
+	if rec := sup.Recovery(); rec.SelectiveRevivals != 1 || rec.Restarts != 0 {
+		t.Fatalf("want one selective revival and no restart, got %+v", rec)
 	}
 }
 

@@ -7,12 +7,9 @@
 // the epoch structure tells recovery exactly which inputs to replay and
 // which results are already durable.
 //
-// Snapshots are asynchronous barrier cuts by default: the supervisor
-// injects barrier markers at the input stages and the cut assembles while
-// traffic keeps flowing — no quiesce, no pause (see runtime/barrier.go).
-// The legacy stop-the-world checkpoint path (quiesce on the probe, pause
-// every worker, serialize) is retained behind Config.Quiesce as a test
-// oracle: both paths must restore to identical state at the same epoch.
+// Snapshots are asynchronous barrier cuts: the supervisor injects barrier
+// markers at the input stages and the cut assembles while traffic keeps
+// flowing — no quiesce, no pause (see runtime/barrier.go).
 // With Config.Selective, a single-worker failure is repaired by selective
 // rollback — only the crashed worker is restored from the latest cut and
 // replayed from its delivery log; healthy workers never stop.
@@ -38,8 +35,8 @@ import (
 
 // Build is one incarnation of the supervised dataflow, produced by the
 // Factory: a constructed-but-not-Started computation, its inputs by name,
-// and a probe on the output stage (the supervisor quiesces on it before
-// checkpoints and uses it to confirm recovery caught up).
+// and a probe on the output stage (the supervisor uses it to confirm
+// recovery caught up).
 type Build struct {
 	Comp   *runtime.Computation
 	Inputs map[string]*runtime.Input
@@ -81,17 +78,11 @@ type Config struct {
 	// would block all future checkpoints — and any deferred CloseInput —
 	// forever. The stale cut is aborted: a lost snapshot, never lost data.
 	CutSettleTimeout time.Duration
-	// Quiesce selects the legacy stop-the-world checkpoint path instead of
-	// asynchronous barrier cuts: quiesce on the probe at an epoch boundary,
-	// pause every worker, serialize. Kept as the differential-test oracle
-	// for the barrier path.
-	Quiesce bool
 	// Selective enables single-worker rollback: the runtime keeps per-worker
 	// delivery logs, and a simulated single-worker crash
 	// (runtime.Computation.CrashWorker) is repaired by restoring only that
 	// worker from the latest complete cut and replaying its log — healthy
-	// workers keep running. Requires the barrier path (ignored with
-	// Quiesce).
+	// workers keep running.
 	Selective bool
 	// Tracer, when non-nil, receives supervisor-level recovery events:
 	// EvCheckpoint/EvRestore with Aux=1 (snapshot persisted / restored) and
@@ -190,14 +181,12 @@ type Supervisor struct {
 	closedIn map[string]bool
 	// closeDeferred holds inputs the application has closed while a barrier
 	// cut covering their final epochs was still possible or in flight; the
-	// actual Close is applied once the cut settles (unused with Quiesce —
-	// the quiesce path checkpoints synchronously, so closes never race a
-	// snapshot).
+	// actual Close is applied once the cut settles.
 	closeDeferred map[string]bool
 	lastCP        int64
 	rng           *rand.Rand
 
-	// Barrier-cut state (unused with Quiesce). gen counts incarnations;
+	// Barrier-cut state. gen counts incarnations;
 	// cutSeq issues monotone cut ids across them. pendingCut is the one cut
 	// in flight (0 = none) and pendingCutEpoch the input epoch it was
 	// injected at. lastCut is the newest complete cut, kept in memory so a
@@ -221,18 +210,18 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
-		cfg:      cfg,
-		rm:       &runtime.RecoveryMetrics{},
-		cmdCh:    make(chan command, 64),
-		joinCh:   make(chan error, 1),
-		evCh:     make(chan supEvent, 16),
-		doneCh:   make(chan struct{}),
+		cfg:           cfg,
+		rm:            &runtime.RecoveryMetrics{},
+		cmdCh:         make(chan command, 64),
+		joinCh:        make(chan error, 1),
+		evCh:          make(chan supEvent, 16),
+		doneCh:        make(chan struct{}),
 		inputs:        make(map[string]bool),
 		log:           make(map[string]map[int64][]runtime.Message),
 		fed:           make(map[string]int64),
 		closedIn:      make(map[string]bool),
 		closeDeferred: make(map[string]bool),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	build, err := s.spawn()
 	if err != nil {
@@ -244,8 +233,8 @@ func New(cfg Config) (*Supervisor, error) {
 		s.log[name] = make(map[int64][]runtime.Message)
 		// Every input participates in the alignment guard from epoch 0: an
 		// input that has never been fed must hold minFed at 0, or
-		// maybeCheckpoint would quiesce on a frontier the unfed input's
-		// seeded pointstamp can never release.
+		// maybeCheckpoint would cut at an epoch boundary the unfed input
+		// never reached.
 		s.fed[name] = 0
 	}
 	go s.monitor(build.Comp)
@@ -270,25 +259,23 @@ func (s *Supervisor) spawn() (*Build, error) {
 	// forever after the supervisor has finished.
 	s.gen++
 	gen := s.gen
-	if !s.cfg.Quiesce {
-		build.Comp.SetCutHandler(func(cut int64, snap *runtime.CutSnapshot, err error) {
-			ev := supEvent{gen: gen, kind: evCutDone, cut: cut, snap: snap}
-			if err != nil {
-				ev.kind, ev.err = evCutFail, err
-			}
+	build.Comp.SetCutHandler(func(cut int64, snap *runtime.CutSnapshot, err error) {
+		ev := supEvent{gen: gen, kind: evCutDone, cut: cut, snap: snap}
+		if err != nil {
+			ev.kind, ev.err = evCutFail, err
+		}
+		select {
+		case s.evCh <- ev:
+		case <-s.doneCh:
+		}
+	})
+	if s.cfg.Selective {
+		build.Comp.SetWorkerCrashHandler(func(worker int) {
 			select {
-			case s.evCh <- ev:
+			case s.evCh <- supEvent{gen: gen, kind: evCrash, worker: worker}:
 			case <-s.doneCh:
 			}
 		})
-		if s.cfg.Selective {
-			build.Comp.SetWorkerCrashHandler(func(worker int) {
-				select {
-				case s.evCh <- supEvent{gen: gen, kind: evCrash, worker: worker}:
-				case <-s.doneCh:
-				}
-			})
-		}
 	}
 	if err := build.Comp.Start(); err != nil {
 		return nil, fmt.Errorf("supervise: start: %w", err)
@@ -386,13 +373,11 @@ func (s *Supervisor) run() {
 			if !s.recover(err) {
 				return // finish() already called by recover
 			}
-			if !s.cfg.Quiesce {
-				// The failed incarnation's in-flight cut died with it. Give
-				// the healthy rebuild a snapshot at the current boundary,
-				// then apply closes the failure interrupted.
-				s.maybeCheckpoint()
-				s.applyDeferredCloses()
-			}
+			// The failed incarnation's in-flight cut died with it. Give the
+			// healthy rebuild a snapshot at the current boundary, then apply
+			// closes the failure interrupted.
+			s.maybeCheckpoint()
+			s.applyDeferredCloses()
 		}
 	}
 }
@@ -419,14 +404,14 @@ func (s *Supervisor) handle(cmd command) {
 		in.OnNext(cmd.records...)
 		s.maybeCheckpoint()
 	case cmdClose:
-		// On the barrier path, hold the close while a cut covering the
-		// input's final epochs is in flight or still possible: closing
+		// Hold the close while a cut covering the input's final epochs is in
+		// flight or still possible: closing
 		// drains the computation, and workers that exit mid-alignment would
 		// strand the cut. If the final cut has not been injected yet (e.g.
 		// the previous one was aborted and no feed followed), inject it now
 		// — no later feed will. The close is applied when the cut settles;
 		// the settle timer bounds the wait on a lossy network.
-		if !s.cfg.Quiesce && (s.pendingCut != 0 || s.cutReady()) {
+		if _, ready := s.cutBoundary(); ready || s.pendingCut != 0 {
 			s.closeDeferred[cmd.input] = true
 			if s.pendingCut == 0 {
 				s.maybeCheckpoint()
@@ -439,111 +424,56 @@ func (s *Supervisor) handle(cmd command) {
 	}
 }
 
-// maybeCheckpoint decides, after each feed, whether to take a snapshot.
-// Both paths share the same guards: skipped once any input has closed (the
-// computation is draining toward completion), and only at an epoch where
-// every input sits at the same fed count — a snapshot taken while one
-// input is fed ahead of another would capture the leading input's epochs
-// half-processed, and the restore/replay protocol is keyed by a single
-// epoch. s.fed covers every input from New (never-fed inputs pin minFed at
-// 0), so the guard also blocks acting on a frontier a still-seeded input
-// could never release. Single-input graphs are always aligned.
+// cutBoundary returns the epoch boundary a cut would be injected at right
+// now, and whether one may be: no cut pending, the boundary at least
+// CheckpointEvery past the last persisted snapshot, and every input fed up
+// to the same epoch — a snapshot taken while one input is fed ahead of
+// another would capture the leading input's epochs half-processed, and the
+// restore/replay protocol is keyed by a single epoch. s.fed covers every
+// input from New (never-fed inputs pin the boundary at 0). Single-input
+// graphs are always aligned.
+func (s *Supervisor) cutBoundary() (int64, bool) {
+	minFed, maxFed := int64(-1), int64(-1)
+	for _, f := range s.fed {
+		if minFed < 0 || f < minFed {
+			minFed = f
+		}
+		if f > maxFed {
+			maxFed = f
+		}
+	}
+	return minFed, s.pendingCut == 0 && minFed == maxFed && minFed > 0 &&
+		minFed-s.lastCP >= s.cfg.CheckpointEvery
+}
+
+// maybeCheckpoint decides, after each feed, whether to inject an
+// asynchronous barrier at the input stages; skipped once any input has
+// closed (the computation is draining toward completion). There is no
+// Probe.WaitFor: the cut assembles downstream while the supervisor keeps
+// feeding — the whole point of the barrier design. At most one cut is in
+// flight, and every cut's lifetime is bounded by the settle timer: a
+// healthy cut assembles in microseconds, so one that outlives
+// CutSettleTimeout has lost a marker and is aborted to unblock the next
+// boundary. The feed rate deliberately plays no part — a feeder that
+// outruns cut assembly must not get its healthy cuts aborted.
 func (s *Supervisor) maybeCheckpoint() {
 	for _, closed := range s.closedIn {
 		if closed {
 			return
 		}
 	}
-	minFed, maxFed := int64(-1), int64(-1)
-	for _, f := range s.fed {
-		if minFed < 0 || f < minFed {
-			minFed = f
-		}
-		if f > maxFed {
-			maxFed = f
-		}
-	}
-	if minFed != maxFed {
-		return
-	}
-	if !s.cfg.Quiesce {
-		s.maybeCut(minFed)
-		return
-	}
-	if minFed <= 0 || minFed-s.lastCP < s.cfg.CheckpointEvery {
-		return
-	}
-	s.build.Probe.WaitFor(minFed - 1)
-	if s.build.Comp.Failed() {
-		return // the join monitor will deliver the failure
-	}
-	var t0 int64
-	if tr := s.cfg.Tracer; tr != nil {
-		t0 = tr.Now()
-	}
-	snap, err := s.build.Comp.Checkpoint()
-	if err != nil {
-		return // abort in progress; same path as above
-	}
-	data := runtime.EncodeSnapshot(snap)
-	if err := s.cfg.Store.Save(minFed, data); err != nil {
-		return // a failed save keeps the previous snapshot + longer log
-	}
-	s.lastCP = minFed
-	s.rm.Checkpoints.Add(1)
-	s.rm.CheckpointBytes.Add(int64(len(data)))
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Emit(trace.Event{
-			Kind: trace.EvCheckpoint, Aux: 1, Worker: -1, Stage: -1, Loc: -1,
-			Epoch: minFed, Dur: tr.Now() - t0, N: int64(len(data)),
-		})
-	}
-	s.pruneLog()
-}
-
-// maybeCut injects an asynchronous barrier at the input stages. Unlike the
-// quiesce path there is no Probe.WaitFor: the cut assembles downstream
-// while the supervisor keeps feeding — the whole point of the barrier
-// design. At most one cut is in flight, and every cut's lifetime is
-// bounded by the settle timer: a healthy cut assembles in microseconds,
-// so one that outlives CutSettleTimeout has lost a marker and is aborted
-// to unblock the next boundary. The feed rate deliberately plays no part —
-// a feeder that outruns cut assembly must not get its healthy cuts
-// aborted.
-func (s *Supervisor) maybeCut(minFed int64) {
-	if s.pendingCut != 0 {
-		return
-	}
-	if minFed <= 0 || minFed-s.lastCP < s.cfg.CheckpointEvery {
+	epoch, ready := s.cutBoundary()
+	if !ready {
 		return
 	}
 	s.cutSeq++
 	s.pendingCut = s.cutSeq
-	s.pendingCutEpoch = minFed
-	if err := s.build.Comp.InjectBarrier(s.cutSeq, minFed); err != nil {
+	s.pendingCutEpoch = epoch
+	if err := s.build.Comp.InjectBarrier(s.cutSeq, epoch); err != nil {
 		s.pendingCut = 0 // e.g. the computation is already failed
 		return
 	}
 	s.armSettleTimer()
-}
-
-// cutReady reports whether maybeCut would inject a cut right now: no cut
-// pending, every input at the same fed epoch, and the boundary at least
-// CheckpointEvery past the last persisted snapshot.
-func (s *Supervisor) cutReady() bool {
-	if s.pendingCut != 0 {
-		return false
-	}
-	minFed, maxFed := int64(-1), int64(-1)
-	for _, f := range s.fed {
-		if minFed < 0 || f < minFed {
-			minFed = f
-		}
-		if f > maxFed {
-			maxFed = f
-		}
-	}
-	return minFed == maxFed && minFed > 0 && minFed-s.lastCP >= s.cfg.CheckpointEvery
 }
 
 // applyDeferredCloses closes inputs whose Close was held back for an
@@ -682,6 +612,10 @@ func (s *Supervisor) reviveWorker(worker int) {
 			Epoch: s.lastCutID, Dur: time.Since(t0).Nanoseconds(),
 		})
 	}
+	// The abandoned cut will never settle: retake it at the current boundary
+	// and release the closes that were waiting on it.
+	s.maybeCheckpoint()
+	s.applyDeferredCloses()
 }
 
 // pruneLog drops replay batches below the oldest retained snapshot: no
@@ -786,42 +720,22 @@ func (s *Supervisor) restoreInto(build *Build) error {
 	if err != nil {
 		return fmt.Errorf("supervise: snapshot store: %w", err)
 	}
-	var lastErr error
 	for i := len(eps) - 1; i >= 0; i-- {
 		data, err := s.cfg.Store.Load(eps[i])
 		if err != nil {
-			lastErr = err
 			continue
 		}
-		ver, err := runtime.SnapshotFormatVersion(data)
+		// Corrupt bytes and other format versions (runtime.ErrCutVersion)
+		// are equally unusable: fall back past them.
+		cut, err := runtime.UnmarshalCut(data)
 		if err != nil {
-			lastErr = err
 			continue
 		}
-		// The store may hold a mix of quiesce snapshots (v1) and barrier
-		// cuts (v2) — e.g. after toggling Quiesce, or in the differential
-		// tests. Either restores into a fresh build; a restore the graph
-		// rejects (UnknownStageError) is as unusable as a corrupt snapshot,
-		// but the rendezvous may have touched vertex state — don't risk a
-		// half-restored build, fail the attempt.
-		if ver >= 2 {
-			cut, err := runtime.UnmarshalCut(data)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if err := build.Comp.RestoreCut(cut); err != nil {
-				return err
-			}
-		} else {
-			snap, err := runtime.UnmarshalSnapshot(data)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if err := build.Comp.Restore(snap); err != nil {
-				return err
-			}
+		// A restore the graph rejects (UnknownStageError) is as unusable as
+		// a corrupt snapshot, but the rendezvous may have touched vertex
+		// state — don't risk a half-restored build, fail the attempt.
+		if err := build.Comp.RestoreCut(cut); err != nil {
+			return err
 		}
 		if tr := s.cfg.Tracer; tr != nil {
 			tr.Emit(trace.Event{
@@ -831,15 +745,12 @@ func (s *Supervisor) restoreInto(build *Build) error {
 		}
 		return nil
 	}
-	if lastErr != nil {
-		// Every retained snapshot was unreadable: recover from scratch,
-		// the log still covers the full history iff nothing was pruned.
-		// Pruning follows successful saves only, so a store whose every
-		// snapshot is corrupt implies an external fault; replaying from
-		// epoch 0 is the best remaining option.
-		return nil
-	}
-	return nil // no snapshots yet: fresh start with full replay
+	// No snapshots yet, or every retained one was unreadable: recover from
+	// scratch with a full replay. The log still covers the full history iff
+	// nothing was pruned; pruning follows successful saves only, so a store
+	// whose every snapshot is corrupt implies an external fault, and
+	// replayInto fails the attempt loudly if the log no longer reaches back.
+	return nil
 }
 
 // replayInto feeds each input the logged epochs past its restored

@@ -1,6 +1,7 @@
 package supervise_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"naiad/internal/supervise"
 	"naiad/internal/testutil"
 	ts "naiad/internal/timestamp"
+	"naiad/internal/trace"
 	"naiad/internal/transport"
 )
 
@@ -472,66 +474,91 @@ func TestSupervisorGivesUp(t *testing.T) {
 }
 
 // TestSupervisorFallsBackPastCorruptSnapshot: recovery must skip a
-// snapshot that fails its checksum and restore the older retained one —
-// "latest consistent", not "latest written".
+// snapshot it cannot use — one that fails its checksum, or intact bytes in
+// an older cut layout, refused with runtime.ErrCutVersion — and restore the
+// older retained one: "latest consistent", not "latest written". Epoch 0's
+// batch is pruned once two snapshots exist, so only a restore from the
+// older snapshot (never a replay from scratch) can complete the run.
 func TestSupervisorFallsBackPastCorruptSnapshot(t *testing.T) {
-	seed := testutil.Seed(t)
-	dir := t.TempDir()
-	store, err := supervise.NewDiskStore(dir, 3)
-	if err != nil {
-		t.Fatal(err)
+	damage := map[string]func(*testing.T, []byte){
+		"bit rot": func(_ *testing.T, data []byte) { data[len(data)-1] ^= 0x40 },
+		"cut version 3": func(t *testing.T, data []byte) {
+			binary.LittleEndian.PutUint32(data[4:8], 3) // the checksum covers the body only
+			if _, err := runtime.UnmarshalCut(data); !errors.Is(err, runtime.ErrCutVersion) {
+				t.Fatalf("v3 cut bytes: got %v, want ErrCutVersion", err)
+			}
+		},
 	}
-	s := newEpochSink()
-	var chaos0 *transport.Chaos
-	fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
-		return &counter{ctx: ctx}
-	}, func(inc int64, cfg *runtime.Config) {
-		ct := transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{Seed: seed + inc})
-		if inc == 0 {
-			chaos0 = ct
-		}
-		cfg.Transport = ct
-	})
-	sup, err := supervise.New(supervise.Config{Factory: fact, Store: store, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.OnNext("in", int64(1), int64(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.OnNext("in", int64(10)); err != nil {
-		t.Fatal(err)
-	}
-	waitForCheckpoints(t, sup, 2)
-	// Bit-rot the newest snapshot on disk; its checksum must disqualify it.
-	eps, err := store.Epochs()
-	if err != nil || len(eps) < 2 {
-		t.Fatalf("epochs = %v, %v", eps, err)
-	}
-	newest := filepath.Join(dir, filesByMtime(t, dir)[0])
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0x40
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	chaos0.Crash(1)
-	if err := sup.OnNext("in", int64(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.CloseInput("in"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Wait(); err != nil {
-		t.Fatalf("recovery with a corrupt latest snapshot failed: %v", err)
-	}
-	if got := s.values(2); len(got) != 1 || got[0] != 113 {
-		t.Fatalf("epoch 2 = %v, want [113]", got)
-	}
-	if rec := sup.Recovery(); rec.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", rec.Restarts)
+	for name, spoil := range damage {
+		t.Run(name, func(t *testing.T) {
+			seed := testutil.Seed(t)
+			dir := t.TempDir()
+			store, err := supervise.NewDiskStore(dir, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newEpochSink()
+			var chaos0 *transport.Chaos
+			fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
+				return &counter{ctx: ctx}
+			}, func(inc int64, cfg *runtime.Config) {
+				ct := transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{Seed: seed + inc})
+				if inc == 0 {
+					chaos0 = ct
+				}
+				cfg.Transport = ct
+			})
+			tr := trace.New(trace.Config{RingBits: 12})
+			sup, err := supervise.New(supervise.Config{Factory: fact, Store: store, Seed: seed, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.OnNext("in", int64(1), int64(2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.OnNext("in", int64(10)); err != nil {
+				t.Fatal(err)
+			}
+			waitForCheckpoints(t, sup, 2)
+			eps, err := store.Epochs()
+			if err != nil || len(eps) < 2 {
+				t.Fatalf("epochs = %v, %v", eps, err)
+			}
+			newest := filepath.Join(dir, filesByMtime(t, dir)[0])
+			data, err := os.ReadFile(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spoil(t, data)
+			if err := os.WriteFile(newest, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			chaos0.Crash(1)
+			if err := sup.OnNext("in", int64(100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.CloseInput("in"); err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.Wait(); err != nil {
+				t.Fatalf("recovery with an unusable latest snapshot failed: %v", err)
+			}
+			if got := s.values(2); len(got) != 1 || got[0] != 113 {
+				t.Fatalf("epoch 2 = %v, want [113]", got)
+			}
+			if rec := sup.Recovery(); rec.Restarts != 1 {
+				t.Fatalf("restarts = %d, want 1", rec.Restarts)
+			}
+			var restored []int64
+			for _, ev := range tr.Harvest() {
+				if ev.Kind == trace.EvRestore && ev.Aux == 1 {
+					restored = append(restored, ev.Epoch)
+				}
+			}
+			if older := eps[len(eps)-2]; len(restored) != 1 || restored[0] != older {
+				t.Fatalf("restored snapshots at epochs %v, want only the older one at %d", restored, older)
+			}
+		})
 	}
 }
 
