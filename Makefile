@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet vet-fixtures loc bench bench-smoke bench-e2e-test bench-ingress bench-pipeline chaos soak soak-recovery soak-ingress fuzz cover
+.PHONY: build test check vet vet-fixtures loc bench-e2e-test bench-ingress chaos soak soak-recovery soak-ingress fuzz cover
 
 build:
 	$(GO) build ./...
@@ -52,49 +52,19 @@ loc:
 	done
 	@printf '%-10s %6d\n' total $$(ls internal/runtime/*.go internal/progress/*.go internal/supervise/*.go | grep -v _test.go | xargs cat | wc -l)
 
-# Progress + runtime microbenchmarks, then the harness comparison of the
-# indexed tracker against the scan-based reference oracle and the
-# capability (timestamp-token) layer, written to the committed
-# BENCH_progress.json baseline (reference column = before, indexed column
-# = after; the raw seed numbers predating the indexed tracker are in
-# bench/BENCH_progress_before.txt). The run fails if capability overhead
-# on update/frontier exceeds 1.25x the indexed tracker.
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/progress/ ./internal/runtime/
-	$(GO) run ./cmd/naiad-bench -exp=progress -json=BENCH_progress.json
-	@echo "wrote BENCH_progress.json"
-
-# CI's quick variant: one iteration per Go benchmark proves they still run
-# and the harness experiment still builds its graphs and trackers; no
-# baseline file is written, timings at this length are not meaningful.
-# The harness run is full-length, so the 1.25x capability-overhead guard
-# is enforced here too.
-bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/progress/ ./internal/runtime/
-	$(GO) run ./cmd/naiad-bench -exp=progress
-
 # The end-to-end benchmark's own tests (BENCHMARK.json, benchmark/README.md).
 # benchmark/ is a nested module built against this tree, so `go test ./...`
-# at the root does not reach it.
+# at the root does not reach it. The benchmark itself — the one judge of a
+# performance statement about this repo — is `bash benchmark/run.sh`.
 bench-e2e-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# Record data plane: the typed-batch vs boxed per-record comparison plus
-# the Go microbenchmarks and the zero-alloc steady-state gate, written to
-# the committed BENCH_pipeline.json baseline (boxed column = before, typed
-# column = after; the raw pre-batching seed numbers are in
-# bench/BENCH_pipeline_before.txt).
-bench-pipeline:
-	$(GO) test -run='TestPipelineSteadyStateAllocs|TestEncodeFrameAllocs' -count=1 ./internal/runtime/
-	$(GO) test -run='^$$' -bench='BenchmarkPipelineRecords' -benchmem ./internal/runtime/
-	$(GO) run ./cmd/naiad-bench -exp=pipeline -json=BENCH_pipeline.json
-	@echo "wrote BENCH_pipeline.json"
 
 # Serving-front-door load harness: N server processes × M simulated
 # clients (streamers, slow readers, mid-epoch disconnectors, floods),
 # written to the committed BENCH_ingress.json baseline. The overload row
 # must show shedding engaging with every offered record accounted and a
-# bounded heap (see docs/serving.md).
+# bounded heap (see docs/serving.md). It stays until benchmark/ has a
+# shedding workload.
 bench-ingress:
 	$(GO) run ./cmd/naiad-bench -exp=ingress -json=BENCH_ingress.json
 	@echo "wrote BENCH_ingress.json"
@@ -146,8 +116,8 @@ soak-ingress:
 	done
 
 # Short fuzz passes over the codec, frame, barrier, and trace-log parsers,
-# plus the capability/tracker differential (three frontier views must agree
-# on every schedule of mint/clone/downgrade/drop).
+# plus the capability/tracker differential (the indexed tracker against its
+# two oracles, test-side, on every schedule of mint/clone/downgrade/drop).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCapabilityDifferential -fuzztime=10s ./internal/progress/
 	$(GO) test -run=^$$ -fuzz=FuzzDecoder -fuzztime=10s ./internal/codec/

@@ -120,35 +120,6 @@ func TestFig8Smoke(t *testing.T) {
 	}
 }
 
-func TestRecoverySmoke(t *testing.T) {
-	rep, err := Recovery(RecoveryOptions{Processes: 2, WorkersPerProcess: 2,
-		Epochs: 6, RecordsPerEpoch: 16, Trials: 1, CrashAtCheckpoint: 2,
-		LatencyEpochs: 20, Seed: 20130101})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 5 {
-		t.Fatalf("rows = %d:\n%s", len(rep.Rows), rep)
-	}
-	if !strings.Contains(rep.String(), "selective rollback") {
-		t.Fatalf("render:\n%s", rep)
-	}
-}
-
-func TestTraceSmoke(t *testing.T) {
-	rep, err := Trace(TraceOptions{Processes: 2, WorkersPerProcess: 2,
-		Epochs: 4, RecordsPerEpoch: 200, Repeats: 1, RingBits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	if !strings.Contains(rep.String(), "self-introspection") {
-		t.Fatalf("render:\n%s", rep)
-	}
-}
-
 func TestQuantiles(t *testing.T) {
 	ds := []time.Duration{4, 1, 3, 2}
 	q := quantiles(ds, 0, 0.5, 1.0)

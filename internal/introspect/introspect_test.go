@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"fmt"
 	"testing"
 
 	"naiad/internal/lib"
@@ -11,10 +12,11 @@ import (
 // runTracedPipeline executes a small multi-stage computation under a
 // tracer and returns the tracer plus the runtime's own metrics — the
 // ground truth the introspection dataflow must reproduce.
-func runTracedPipeline(t *testing.T, epochs int) (*trace.Tracer, *runtime.MetricsSnapshot) {
+func runTracedPipeline(t *testing.T, processes, epochs int) (*trace.Tracer, *runtime.MetricsSnapshot) {
 	t.Helper()
 	tr := trace.New(trace.Config{RingBits: 18})
 	cfg := runtime.DefaultConfig(2)
+	cfg.Processes = processes
 	cfg.Tracer = tr
 	scope, err := lib.NewScope(cfg)
 	if err != nil {
@@ -50,34 +52,39 @@ func runTracedPipeline(t *testing.T, epochs int) (*trace.Tracer, *runtime.Metric
 // TestAnalyzeMatchesMetrics is the tentpole's acceptance check: the
 // self-introspection dataflow, fed the raw event log, must reproduce the
 // per-stage invocation counts that MetricsSnapshot reports for the same
-// run.
+// run — in one process, and across two, where half the exchanged batches
+// are decoded off the wire before they are counted.
 func TestAnalyzeMatchesMetrics(t *testing.T) {
-	tr, metrics := runTracedPipeline(t, 6)
-	rep, err := Analyze(tr.Harvest(), 2, tr.StageName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := rep.Counts()
-	for _, sm := range metrics.Stages {
-		got := counts[int32(sm.Stage)]
-		if got.Records != sm.Records {
-			t.Errorf("stage %s: introspection says %d records, metrics says %d",
-				sm.Name, got.Records, sm.Records)
-		}
-		if got.Notifications != sm.Notifications {
-			t.Errorf("stage %s: introspection says %d notifications, metrics says %d",
-				sm.Name, got.Notifications, sm.Notifications)
-		}
-	}
-	// And nothing invented: every counted stage exists in the metrics.
-	byID := make(map[int32]bool)
-	for _, sm := range metrics.Stages {
-		byID[int32(sm.Stage)] = true
-	}
-	for _, c := range rep.StageCounts {
-		if !byID[c.Stage] {
-			t.Errorf("introspection reports unknown stage %d", c.Stage)
-		}
+	for _, processes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%dp", processes), func(t *testing.T) {
+			tr, metrics := runTracedPipeline(t, processes, 6)
+			rep, err := Analyze(tr.Harvest(), 2*processes, tr.StageName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := rep.Counts()
+			for _, sm := range metrics.Stages {
+				got := counts[int32(sm.Stage)]
+				if got.Records != sm.Records {
+					t.Errorf("stage %s: introspection says %d records, metrics says %d",
+						sm.Name, got.Records, sm.Records)
+				}
+				if got.Notifications != sm.Notifications {
+					t.Errorf("stage %s: introspection says %d notifications, metrics says %d",
+						sm.Name, got.Notifications, sm.Notifications)
+				}
+			}
+			// And nothing invented: every counted stage exists in the metrics.
+			byID := make(map[int32]bool)
+			for _, sm := range metrics.Stages {
+				byID[int32(sm.Stage)] = true
+			}
+			for _, c := range rep.StageCounts {
+				if !byID[c.Stage] {
+					t.Errorf("introspection reports unknown stage %d", c.Stage)
+				}
+			}
+		})
 	}
 }
 
@@ -85,7 +92,7 @@ func TestAnalyzeMatchesMetrics(t *testing.T) {
 // summary per fed epoch, internally consistent.
 func TestAnalyzeEpochSummaries(t *testing.T) {
 	const epochs = 5
-	tr, _ := runTracedPipeline(t, epochs)
+	tr, _ := runTracedPipeline(t, 1, epochs)
 	rep, err := Analyze(tr.Harvest(), 2, tr.StageName)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,9 @@ package progress
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"naiad/internal/graph"
 	ts "naiad/internal/timestamp"
@@ -56,14 +58,48 @@ func mkTrackers() map[string]func(*graph.Graph) progressTracker {
 	}
 }
 
+// capTracker is the indexed tracker driven through the token layer, the
+// runtime's hot path: +1 mints a token whose delta reaches the tracker
+// through the CapSet sink, -1 drops the token minted last. Queries bypass
+// the token layer, so only the benchmarks that post updates take it.
+type capTracker struct {
+	*Tracker
+	cs  *CapSet
+	tok *Capability
+}
+
+func (c *capTracker) Update(p Pointstamp, d int64) {
+	if d > 0 {
+		c.tok = c.cs.Mint(p)
+	} else {
+		c.tok.Drop()
+	}
+}
+
+func newCapTracker(g *graph.Graph) progressTracker {
+	tr := NewTracker(g)
+	return &capTracker{Tracker: tr, cs: NewCapSet("bench", tr.Update)}
+}
+
+// mkUpdaters is mkTrackers plus the "capability" input.
+func mkUpdaters() map[string]func(*graph.Graph) progressTracker {
+	m := mkTrackers()
+	m["capability"] = newCapTracker
+	return m
+}
+
 // fillActive installs n active pointstamps spread over the given locations,
 // epochs, and loop iterations — the ≥100-active working set of the
-// acceptance criteria.
+// acceptance criteria. It goes through Apply, not Update: the working set
+// stands for messages in flight, whose occurrences reach the tracker
+// without a token, so the capability input holds only the token it cycles.
 func fillActive(tr progressTracker, locs []graph.Location, n int) {
-	for i := 0; i < n; i++ {
+	us := make([]Update, n)
+	for i := range us {
 		tm := ts.Make(int64(i/32), int64(i%32))
-		tr.Update(Pointstamp{Time: tm, Loc: locs[i%len(locs)]}, 1)
+		us[i] = Update{P: Pointstamp{Time: tm, Loc: locs[i%len(locs)]}, D: 1}
 	}
+	tr.Apply(us)
 }
 
 // BenchmarkTrackerUpdate measures the steady-state cost of one
@@ -84,21 +120,42 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 	}
 }
 
+// updateWorkload is one activate/deactivate cycle against n active
+// pointstamps; frontierWorkload adds a frontier read between the two — the
+// safety-monitor pattern (CheckFrontier after every applied batch).
+func updateWorkload(tr progressTracker, locs []graph.Location, n int) func() {
+	fillActive(tr, locs, n)
+	p := Pointstamp{Time: ts.Make(int64(n/64), 7), Loc: locs[2]}
+	return func() {
+		tr.Update(p, 1)
+		tr.Update(p, -1)
+	}
+}
+
+func frontierWorkload(tr progressTracker, locs []graph.Location, n int) func() {
+	fillActive(tr, locs, n)
+	p := Pointstamp{Time: ts.Make(int64(n/64), 9), Loc: locs[3]}
+	return func() {
+		tr.Update(p, 1)
+		if len(tr.Frontier()) == 0 {
+			panic("frontier empty")
+		}
+		tr.Update(p, -1)
+	}
+}
+
 // BenchmarkTrackerUpdateActive measures one activate/deactivate cycle
-// against working sets of 128 and 512 active pointstamps, for both the
-// indexed tracker and the reference oracle.
+// against working sets of 128 and 512 active pointstamps, for the indexed
+// tracker, the reference oracle, and the capability layer.
 func BenchmarkTrackerUpdateActive(b *testing.B) {
 	for _, n := range []int{128, 512} {
-		for name, mk := range mkTrackers() {
+		for name, mk := range mkUpdaters() {
 			b.Run(fmt.Sprintf("%s-%d", name, n), func(b *testing.B) {
 				g, locs := benchGraph(b)
-				tr := mk(g)
-				fillActive(tr, locs, n)
-				p := Pointstamp{Time: ts.Make(int64(n/64), 7), Loc: locs[2]}
+				op := updateWorkload(mk(g), locs, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tr.Update(p, 1)
-					tr.Update(p, -1)
+					op()
 				}
 			})
 		}
@@ -139,23 +196,60 @@ func BenchmarkSomePrecursorOfActive(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontierActive measures a frontier read after each update — the
-// safety-monitor pattern (CheckFrontier after every applied batch).
+// BenchmarkFrontierActive measures a frontier read after each update.
 func BenchmarkFrontierActive(b *testing.B) {
 	for _, n := range []int{128} {
-		for name, mk := range mkTrackers() {
+		for name, mk := range mkUpdaters() {
 			b.Run(fmt.Sprintf("%s-%d", name, n), func(b *testing.B) {
 				g, locs := benchGraph(b)
-				tr := mk(g)
-				fillActive(tr, locs, n)
-				p := Pointstamp{Time: ts.Make(int64(n/64), 9), Loc: locs[3]}
+				op := frontierWorkload(mk(g), locs, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tr.Update(p, 1)
-					if len(tr.Frontier()) == 0 {
-						b.Fatal("frontier empty")
+					op()
+				}
+			})
+		}
+	}
+}
+
+// capOverheadLimit is the guard for the capability layer: the mint/drop
+// token path may cost at most this multiple of the raw indexed tracker on
+// the update and frontier workloads.
+const capOverheadLimit = 1.25
+
+// BenchmarkCapabilityOverhead times the indexed tracker and the capability
+// layer back to back on the same workload and reports capability/indexed
+// as "x-indexed". A miss is re-measured before it is a regression: each
+// retry re-times both sides as a pair (an unpaired retry would compare
+// against a stale baseline) and the best of three pairs stands. It is a
+// benchmark, not a test, because a wall-clock ratio inside `go test ./...`
+// would flake; CI runs it as its own step. Calibration calls too short to
+// time (b.N under 10000 cycles) report but do not judge.
+func BenchmarkCapabilityOverhead(b *testing.B) {
+	for name, workload := range map[string]func(progressTracker, []graph.Location, int) func(){
+		"update": updateWorkload, "frontier": frontierWorkload,
+	} {
+		for _, n := range []int{128, 512} {
+			b.Run(fmt.Sprintf("%s-%d", name, n), func(b *testing.B) {
+				g, locs := benchGraph(b)
+				indexed := workload(NewTracker(g), locs, n)
+				capability := workload(newCapTracker(g), locs, n)
+				timeN := func(op func()) float64 {
+					op() // one untimed pass warms caches and the branch predictor
+					start := time.Now()
+					for i := 0; i < b.N; i++ {
+						op()
 					}
-					tr.Update(p, -1)
+					return float64(time.Since(start))
+				}
+				ratio := math.Inf(1)
+				for pair := 0; pair < 3 && ratio > capOverheadLimit; pair++ {
+					base := timeN(indexed)
+					ratio = math.Min(ratio, timeN(capability)/base)
+				}
+				b.ReportMetric(ratio, "x-indexed")
+				if b.N >= 10000 && ratio > capOverheadLimit {
+					b.Fatalf("capability layer costs %.2fx the indexed tracker (limit %.2fx)", ratio, capOverheadLimit)
 				}
 			})
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"naiad/internal/graph"
 	ts "naiad/internal/timestamp"
 )
 
@@ -29,9 +28,10 @@ import (
 //
 // A CapSet is one holder's book of live tokens. It posts its occurrence
 // deltas through a sink callback (the runtime wires this to the worker's
-// progress-broadcast path), and it can independently compute the frontier
-// implied by its live tokens, which the differential battery compares
-// against the indexed Tracker and the ReferenceTracker.
+// progress-broadcast path). It is a book of ±1 deltas over the one
+// frontier structure, the indexed Tracker, not a second frontier: the
+// antichain its live tokens imply is computed only test-side, where the
+// differential battery compares it against the Tracker and the scan oracle.
 
 // Capability is one live timestamp token. Capabilities are created through
 // a CapSet and are not safe for concurrent use; the runtime confines each
@@ -103,25 +103,23 @@ func (c *Capability) TryDrop() bool {
 }
 
 // CapSet is one holder's set of live capabilities. Occurrence deltas are
-// posted through the sink; the graph (optional) enables Frontier. A CapSet
-// is not safe for concurrent use.
+// posted through the sink. A CapSet is not safe for concurrent use.
 type CapSet struct {
 	label string
-	g     *graph.Graph
 	sink  func(Pointstamp, int64)
 	live  map[*Capability]struct{}
 	audit *auditState
 }
 
 // NewCapSet returns an empty capability set. label names the holder in
-// leak reports; g may be nil when Frontier is not needed; sink receives
-// every occurrence delta the set's tokens generate (it must not be nil).
-// If a leak audit is installed (AuditCaps), the set binds to it now.
-func NewCapSet(label string, g *graph.Graph, sink func(Pointstamp, int64)) *CapSet {
+// leak reports; sink receives every occurrence delta the set's tokens
+// generate (it must not be nil). If a leak audit is installed (AuditCaps),
+// the set binds to it now.
+func NewCapSet(label string, sink func(Pointstamp, int64)) *CapSet {
 	if sink == nil {
 		panic("progress: NewCapSet requires a sink")
 	}
-	cs := &CapSet{label: label, g: g, sink: sink, live: make(map[*Capability]struct{})}
+	cs := &CapSet{label: label, sink: sink, live: make(map[*Capability]struct{})}
 	auditMu.Lock()
 	cs.audit = auditCur
 	auditMu.Unlock()
@@ -165,37 +163,6 @@ func (cs *CapSet) Live() []Pointstamp {
 	out := make([]Pointstamp, 0, len(cs.live))
 	for c := range cs.live {
 		out = append(out, c.p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// Frontier returns the minimal antichain of the live tokens' pointstamps
-// under could-result-in: the frontier this set alone implies. When every
-// tracker update in a computation is token-derived, this agrees with
-// Tracker.Frontier and ReferenceTracker.Frontier — the third view the
-// differential battery compares. Requires a graph; O(n²) in live tokens,
-// intended for tests and audits, not hot paths.
-func (cs *CapSet) Frontier() []Pointstamp {
-	if cs.g == nil {
-		panic("progress: CapSet.Frontier requires a graph")
-	}
-	distinct := make(map[Pointstamp]struct{}, len(cs.live))
-	for c := range cs.live {
-		distinct[c.p] = struct{}{}
-	}
-	var out []Pointstamp
-	for p := range distinct {
-		minimal := true
-		for q := range distinct {
-			if q != p && cs.g.CouldResultIn(q.Time, q.Loc, p.Time, p.Loc) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, p)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out

@@ -11,7 +11,9 @@ import (
 
 // capHarness drives a CapSet whose deltas feed both the indexed tracker
 // and the reference oracle, giving three independent frontier views: the
-// token book's own antichain, the indexed tracker, and the scan oracle.
+// token book's own antichain (capFrontier), the indexed tracker, and the
+// scan oracle. The tracker is the product's one frontier structure; the
+// other two are oracles only this package's tests can see.
 type capHarness struct {
 	t    testing.TB
 	g    *graph.Graph
@@ -23,17 +25,42 @@ type capHarness struct {
 
 func newCapHarness(t testing.TB, g *graph.Graph) *capHarness {
 	h := &capHarness{t: t, g: g, idx: NewTracker(g), ref: NewReferenceTracker(g)}
-	h.cs = NewCapSet("test", g, func(p Pointstamp, d int64) {
+	h.cs = NewCapSet("test", func(p Pointstamp, d int64) {
 		h.idx.Update(p, d)
 		h.ref.Update(p, d)
 	})
 	return h
 }
 
+// capFrontier returns the minimal antichain of the live tokens'
+// pointstamps under could-result-in: the frontier the token book alone
+// implies. When every tracker update is token-derived it must agree with
+// Tracker.Frontier and ReferenceTracker.Frontier. O(n²) in live tokens.
+func capFrontier(g *graph.Graph, cs *CapSet) []Pointstamp {
+	live := cs.Live() // sorted, duplicates preserved
+	var out []Pointstamp
+	for i, p := range live {
+		if i > 0 && live[i-1] == p {
+			continue
+		}
+		minimal := true
+		for _, q := range live {
+			if q != p && g.CouldResultIn(q.Time, q.Loc, p.Time, p.Loc) {
+				minimal = false
+				break
+			}
+		}
+		if minimal {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // check asserts the three frontier views agree.
 func (h *capHarness) check(ctx string) {
 	h.t.Helper()
-	cap_, idx, ref := h.cs.Frontier(), h.idx.Frontier(), h.ref.Frontier()
+	cap_, idx, ref := capFrontier(h.g, h.cs), h.idx.Frontier(), h.ref.Frontier()
 	equal := func(a, b []Pointstamp) bool {
 		if len(a) != len(b) {
 			return false
@@ -108,9 +135,8 @@ func (h *capHarness) drain() {
 // TestCapabilityAccounting pins the delta semantics of each token
 // operation against a recording sink.
 func TestCapabilityAccounting(t *testing.T) {
-	g := shapeGraph(t, "linear")
 	var got []Update
-	cs := NewCapSet("acct", g, func(p Pointstamp, d int64) {
+	cs := NewCapSet("acct", func(p Pointstamp, d int64) {
 		got = append(got, Update{P: p, D: d})
 	})
 	loc := graph.StageLoc(1)
@@ -151,7 +177,6 @@ func TestCapabilityAccounting(t *testing.T) {
 // TestCapabilityMisuse pins the panics: double drop, use after drop, and
 // downgrading backwards in time.
 func TestCapabilityMisuse(t *testing.T) {
-	g := shapeGraph(t, "linear")
 	sink := func(Pointstamp, int64) {}
 	loc := graph.StageLoc(1)
 	mustPanic := func(name string, f func()) {
@@ -163,7 +188,7 @@ func TestCapabilityMisuse(t *testing.T) {
 		}()
 		f()
 	}
-	cs := NewCapSet("misuse", g, sink)
+	cs := NewCapSet("misuse", sink)
 	c := cs.Mint(Pointstamp{Time: ts.Root(1), Loc: loc})
 	mustPanic("downgrade backwards", func() { c.Downgrade(ts.Root(0)) })
 	mustPanic("downgrade depth mismatch", func() { c.Downgrade(ts.Make(1, 0)) })
@@ -171,15 +196,14 @@ func TestCapabilityMisuse(t *testing.T) {
 	mustPanic("double drop", func() { c.Drop() })
 	mustPanic("clone after drop", func() { c.Clone() })
 	mustPanic("downgrade after drop", func() { c.Downgrade(ts.Root(2)) })
-	mustPanic("nil sink", func() { NewCapSet("nil", g, nil) })
+	mustPanic("nil sink", func() { NewCapSet("nil", nil) })
 }
 
 // TestCapabilitySeededMint pins MintSeeded: no +1 is posted (the
 // occurrence exists out of band), but the drop posts its -1 normally.
 func TestCapabilitySeededMint(t *testing.T) {
-	g := shapeGraph(t, "linear")
 	var got []Update
-	cs := NewCapSet("seeded", g, func(p Pointstamp, d int64) {
+	cs := NewCapSet("seeded", func(p Pointstamp, d int64) {
 		got = append(got, Update{P: p, D: d})
 	})
 	p := Pointstamp{Time: ts.Root(0), Loc: graph.StageLoc(0)}
@@ -198,9 +222,8 @@ func TestCapabilitySeededMint(t *testing.T) {
 
 // TestCapSetReset pins Reset: live tokens vanish without posting.
 func TestCapSetReset(t *testing.T) {
-	g := shapeGraph(t, "linear")
 	posts := 0
-	cs := NewCapSet("reset", g, func(Pointstamp, int64) { posts++ })
+	cs := NewCapSet("reset", func(Pointstamp, int64) { posts++ })
 	cs.Mint(Pointstamp{Time: ts.Root(0), Loc: graph.StageLoc(0)})
 	cs.Mint(Pointstamp{Time: ts.Root(1), Loc: graph.StageLoc(1)})
 	posts = 0
@@ -241,13 +264,12 @@ func TestCapabilityDifferential(t *testing.T) {
 // TB: a CapSet created under the audit that shuts down with live tokens
 // must fail the test; one that drops everything must not.
 func TestAuditCapsReportsLeaks(t *testing.T) {
-	g := shapeGraph(t, "linear")
 	sink := func(Pointstamp, int64) {}
 
 	run := func(leak bool) *fakeTB {
 		ftb := &fakeTB{}
 		AuditCaps(ftb)
-		cs := NewCapSet("worker-0", g, sink)
+		cs := NewCapSet("worker-0", sink)
 		c := cs.Mint(Pointstamp{Time: ts.Root(0), Loc: graph.StageLoc(0)})
 		if !leak {
 			c.Drop()
@@ -265,7 +287,7 @@ func TestAuditCapsReportsLeaks(t *testing.T) {
 	}
 
 	// Without an installed audit, ReportLeaks is a no-op even with leaks.
-	cs := NewCapSet("unaudited", g, sink)
+	cs := NewCapSet("unaudited", sink)
 	cs.Mint(Pointstamp{Time: ts.Root(0), Loc: graph.StageLoc(0)})
 	cs.ReportLeaks()
 }

@@ -12,7 +12,9 @@ import (
 // and SomePrecursorOf do full passes over every tracked pointstamp, which
 // makes the implementation small enough to audit by eye. The differential
 // property and fuzz tests drive it in lockstep with Tracker and assert
-// identical frontiers; it is not used on any runtime path.
+// identical frontiers. It lives in a _test.go file so that the product has
+// exactly one frontier structure: nothing outside this package's tests and
+// benchmarks can reach it.
 type ReferenceTracker struct {
 	g       *graph.Graph
 	entries map[Pointstamp]*entry

@@ -195,6 +195,9 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	if err := c.Join(); err != nil {
 		t.Fatal(err)
 	}
+	if want := int64((8 + epochs) * epochSize); cv.count != want {
+		t.Fatalf("sink saw %d records, want %d", cv.count, want)
+	}
 	records := int64(epochs * epochSize)
 	perRecord := float64(after.Mallocs-before.Mallocs) / float64(records)
 	t.Logf("steady state: %d mallocs over %d records (%.4f/record)",

@@ -282,7 +282,7 @@ func (w *worker) initVertices() {
 	// Every occurrence delta a token generates flows through postUpdate, so
 	// capability accounting rides the ordinary broadcast path (and is
 	// suppressed during replay like any other post).
-	w.caps = progress.NewCapSet(fmt.Sprintf("worker %d", w.id), c.lg,
+	w.caps = progress.NewCapSet(fmt.Sprintf("worker %d", w.id),
 		func(p progress.Pointstamp, d int64) { w.postUpdate(p, d) })
 	if c.onCut != nil {
 		w.chanSent = make(map[uint64]int64)
