@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet vet-fixtures loc bench-e2e-test bench-ingress chaos soak soak-recovery soak-ingress fuzz cover
+.PHONY: build test check vet vet-fixtures loc bench-e2e-test judge bench-ingress chaos soak soak-recovery soak-ingress fuzz cover
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,14 @@ loc:
 # performance statement about this repo — is `bash benchmark/run.sh`.
 bench-e2e-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The pre-submission step for any PR that touches a package the benchmark
+# links (ROADMAP "How a PR lands"): alternating parent/change pairs of the
+# frozen benchmark, judged by `benchmark/run.sh compare` unchanged; exits
+# non-zero on any "worse" row.
+#   make judge BASE=<rev> [WORKLOADS="door_rw loop_tcp"] [PAIRS=10]
+judge:
+	BASE="$(BASE)" WORKLOADS="$(WORKLOADS)" PAIRS="$(PAIRS)" bash scripts/judge.sh
 
 # Serving-front-door load harness: N server processes × M simulated
 # clients (streamers, slow readers, mid-epoch disconnectors, floods),

@@ -30,33 +30,60 @@ type pendingEpoch struct {
 
 // flowState is a registered flow's serving machinery: the single-producer
 // edge batcher feeding the runtime input, and the ack releaser returning
-// credits as the probe advances. The batcher goroutine is the only caller
-// of the input's methods, honoring runtime.Input's single-producer
-// contract.
+// credits and waking parked reads as the probe advances. The batcher
+// goroutine is the only caller of the input's methods, honoring
+// runtime.Input's single-producer contract.
 type flowState struct {
 	s *Server
 	f Flow
 
 	queue  chan ingestBatch
-	sealCh chan pendingEpoch
+	demand chan struct{} // capacity 1: a read parked or an epoch completed; the batcher re-checks sealOnDemand
 	stopCh chan struct{}
 
 	mu      sync.Mutex
-	pending []pendingEpoch // sealed, not yet completed; FIFO
+	pending []pendingEpoch // sealed, not yet completed; FIFO, the releaser's work queue
 	failed  error          // set when the probe reports a dataflow failure
+	closed  bool           // the input is closed: nothing more will be sealed
+	parked  int            // reads waiting in waitCompleted right now
+	wake    chan struct{}  // closed and replaced on every seal, completion and close
 }
 
+// queueDepth buffers hand-offs to the batcher; push blocks for the reply
+// anyway, so a full queue only moves where a handler waits.
+const queueDepth = 64
+
+// demandSpacing is the least time between two on-demand seals. Readers can
+// induce at most one extra epoch per demandSpacing, however hard they press:
+// a lone read-your-write still seals at once, a closed loop of them settles
+// on this clock instead of on how fast the host happens to turn an epoch
+// around, and every reader that arrives meanwhile shares the next seal. It is
+// a variable only so that a test can stretch it.
+var demandSpacing = time.Millisecond
+
 func newFlowState(s *Server, f Flow) *flowState {
-	// Every queued batch and every sealed-incomplete epoch carries at
-	// least one admission credit, so GlobalCredits bounds both; the slack
-	// covers credit-free seal requests.
-	capacity := s.cfg.GlobalCredits + s.cfg.MaxSessions
 	return &flowState{
 		s:      s,
 		f:      f,
-		queue:  make(chan ingestBatch, capacity),
-		sealCh: make(chan pendingEpoch, capacity),
+		queue:  make(chan ingestBatch, queueDepth),
+		demand: make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
+		wake:   make(chan struct{}),
+	}
+}
+
+// broadcast wakes the reads and the releaser parked on fs.wake. Callers hold
+// fs.mu: a waiter that took fs.wake under it, then checked, misses nothing.
+func (fs *flowState) broadcast() {
+	close(fs.wake)
+	fs.wake = make(chan struct{})
+}
+
+// nudge has the batcher re-check sealOnDemand; one queued nudge is enough.
+func (fs *flowState) nudge() {
+	select {
+	case fs.demand <- struct{}{}:
+	default:
 	}
 }
 
@@ -89,13 +116,17 @@ func (fs *flowState) push(b ingestBatch) int64 {
 }
 
 // batchLoop is the edge batcher: it owns the input, feeds admitted
-// records into the open epoch, and seals epochs on the cadence, the size
-// bound, or an explicit seal request. On stop it drains the queue, seals
-// the remainder, and closes the input so the owning computation can Join.
+// records into the open epoch, and seals epochs on demand (sealOnDemand),
+// on the cadence, at the size bound, or on an explicit seal request. On
+// stop it drains the queue, seals the remainder, and closes the input so
+// the owning computation can Join.
 func (fs *flowState) batchLoop() {
 	defer fs.s.wg.Done()
 	tick := time.NewTicker(fs.s.cfg.EpochInterval)
 	defer tick.Stop()
+	pace := time.NewTimer(demandSpacing) // re-armed by every on-demand seal
+	defer pace.Stop()
+	paced := false // an on-demand seal happened less than demandSpacing ago
 	var open *pendingEpoch
 	feed := func(b ingestBatch) {
 		if b.seal {
@@ -120,6 +151,9 @@ func (fs *flowState) batchLoop() {
 		select {
 		case b := <-fs.queue:
 			feed(b)
+		case <-fs.demand:
+		case <-pace.C:
+			paced = false
 		case <-tick.C:
 			if open != nil {
 				fs.seal(&open)
@@ -132,18 +166,40 @@ func (fs *flowState) batchLoop() {
 				default:
 					fs.seal(&open)
 					fs.f.Input.Close()
-					close(fs.sealCh)
+					fs.mu.Lock()
+					fs.closed = true
+					fs.broadcast()
+					fs.mu.Unlock()
 					return
 				}
 			}
 		}
+		if open != nil && !paced && len(fs.queue) == 0 && fs.sealOnDemand() {
+			fs.seal(&open)
+			fs.s.metrics.EpochsSealedOnDemand.Add(1)
+			paced = true
+			pace.Reset(demandSpacing)
+		}
 	}
 }
 
-// seal completes the open epoch at the edge: the input advances, the
-// epoch joins the pending list (the backlog signal), and the releaser is
-// told to await its completion. Returns the sealed epoch, or the last
-// sealed epoch when nothing was open.
+// sealOnDemand is the group-commit rule: seal ahead of the cadence iff a
+// read is parked right now and no sealed epoch is still incomplete (the
+// caller checks the queue is drained and the last on-demand seal is
+// demandSpacing old). An idle door answers in dataflow time; a busy one
+// fills the open epoch until its predecessor completes and the spacing has
+// passed, so readers add at most one epoch per demandSpacing and never more
+// than the dataflow completes; nobody parked, no early seal.
+func (fs *flowState) sealOnDemand() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.parked > 0 && len(fs.pending) == 0
+}
+
+// seal completes the open epoch at the edge: the input advances and the
+// epoch joins the pending list — the backlog signal, and the releaser's
+// work queue. Returns the sealed epoch, or the last sealed epoch when
+// nothing was open.
 func (fs *flowState) seal(open **pendingEpoch) int64 {
 	if *open == nil {
 		return fs.f.Input.Epoch() - 1
@@ -154,42 +210,56 @@ func (fs *flowState) seal(open **pendingEpoch) int64 {
 	fs.f.Input.Advance()
 	fs.mu.Lock()
 	fs.pending = append(fs.pending, p)
+	fs.broadcast()
 	fs.mu.Unlock()
 	fs.s.metrics.EpochsSealed.Add(1)
-	fs.sealCh <- p
 	return p.epoch
 }
 
-// releaseLoop is the ack releaser: for each sealed epoch, wait for the
-// flow's probe to pass it, then return the epoch's credits to the tenant
-// and global pools — the moment backpressure actually relaxes. A probe
-// released by a dataflow failure instead marks the flow failed (ingest
-// starts rejecting) and still returns the credits: the records are gone,
+// releaseLoop is the ack releaser: for each sealed epoch in order, wait
+// for the flow's probe to pass it, wake the parked reads and the batcher,
+// then return the epoch's credits to the tenant and global pools — the
+// moment backpressure actually relaxes. A probe released by a dataflow
+// failure instead marks the flow failed (ingest starts rejecting, parked
+// reads give up) and still returns the credits: the records are gone,
 // holding their credits would wedge the door shut forever.
 func (fs *flowState) releaseLoop() {
 	defer fs.s.wg.Done()
-	for p := range fs.sealCh {
-		err := fs.f.Probe.WaitForErr(p.epoch)
+	for {
 		fs.mu.Lock()
-		if len(fs.pending) > 0 && fs.pending[0].epoch == p.epoch {
-			fs.pending = fs.pending[1:]
+		for len(fs.pending) == 0 && !fs.closed {
+			wake := fs.wake
+			fs.mu.Unlock()
+			<-wake
+			fs.mu.Lock()
 		}
+		if len(fs.pending) == 0 {
+			fs.mu.Unlock()
+			return // input closed, every sealed epoch completed
+		}
+		p := fs.pending[0]
+		fs.mu.Unlock()
+		err := fs.f.Probe.WaitForErr(p.epoch)
+		if err != nil { // counted before anyone is woken to look
+			fs.s.metrics.FlowFailures.Add(1)
+		} else {
+			fs.s.metrics.EpochsCompleted.Add(1)
+			fs.s.metrics.RecordAck(int64(time.Since(p.sealedAt)))
+		}
+		fs.mu.Lock()
+		fs.pending = fs.pending[1:]
 		if err != nil && fs.failed == nil {
 			fs.failed = err
 		}
+		fs.broadcast()
 		fs.mu.Unlock()
+		fs.nudge()
 		for tenant, n := range p.byTenant {
 			if t := fs.s.tenant(tenant, false); t != nil {
 				t.pool.release(n)
 			}
 		}
 		fs.s.global.release(p.count)
-		if err != nil {
-			fs.s.metrics.FlowFailures.Add(1)
-			continue
-		}
-		fs.s.metrics.EpochsCompleted.Add(1)
-		fs.s.metrics.RecordAck(int64(time.Since(p.sealedAt)))
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	gort "runtime"
+	"strconv"
+	"sync"
 	"time"
 
 	"naiad/internal/runtime"
@@ -248,12 +250,21 @@ func (s *Server) shedRecords(w http.ResponseWriter, n int, code, msg string) {
 	s.reject(w, status, code, msg)
 }
 
+// scanBufs recycles decodeBody's 64 KB line buffers. For a longer line the
+// scanner grows a private copy that is never pooled: nothing huge is pinned.
+var scanBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64<<10)
+	return &b
+}}
+
 // decodeBody reads the NDJSON body (one record per line) through the
 // flow's decoder. Returns a non-empty code on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, fs *flowState) (msgs []runtime.Message, n int, code, msg string) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	buf := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(buf)
+	sc.Buffer(*buf, 1<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -353,20 +364,23 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if minStr := q.Get("min_epoch"); minStr != "" {
-		var minEpoch int64
-		if _, err := fmt.Sscanf(minStr, "%d", &minEpoch); err != nil {
+		minEpoch, err := strconv.ParseInt(minStr, 10, 64)
+		if err != nil {
 			s.metrics.BadRequests.Add(1)
 			s.reject(w, http.StatusBadRequest, codeBadRequest, "min_epoch must be an integer")
 			return
 		}
 		timeout := s.cfg.RequestTimeout
 		if tStr := q.Get("timeout_ms"); tStr != "" {
-			var ms int64
-			if _, err := fmt.Sscanf(tStr, "%d", &ms); err == nil && ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
+			if ms, err := strconv.ParseInt(tStr, 10, 64); err == nil && ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
 				timeout = time.Duration(ms) * time.Millisecond
 			}
 		}
-		if !fs.waitCompleted(minEpoch, time.Now().Add(timeout)) {
+		switch fs.waitCompleted(minEpoch, timeout) {
+		case codeClosing:
+			s.reject(w, http.StatusServiceUnavailable, codeClosing, "server shutting down")
+			return
+		case codeOverload:
 			s.metrics.ReadTimeouts.Add(1)
 			s.reject(w, http.StatusGatewayTimeout, codeOverload,
 				fmt.Sprintf("epoch %d not complete within timeout (completed=%d)", minEpoch, fs.completed()))
@@ -393,19 +407,38 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, readResponse{Key: key, Value: string(val), Epoch: epoch, Frontier: stamp})
 }
 
-// waitCompleted polls the probe until it passes epoch or the deadline
-// expires. Polling keeps the read path independent of probe internals; the
-// granularity only matters to already-slow waits.
-func (fs *flowState) waitCompleted(epoch int64, deadline time.Time) bool {
-	for {
-		if fs.completed() >= epoch {
-			return true
-		}
-		if fs.err() != nil || !time.Now().Before(deadline) {
-			return fs.completed() >= epoch
-		}
-		time.Sleep(time.Millisecond)
+// waitCompleted parks the read until the probe passes epoch and returns "":
+// the releaser broadcasts every completion, so nothing polls. It returns
+// codeOverload when the flow fails or the timeout expires first, and
+// codeClosing on shutdown. A parked read counts toward sealOnDemand.
+func (fs *flowState) waitCompleted(epoch int64, timeout time.Duration) string {
+	if fs.completed() >= epoch {
+		return ""
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.parked++
+	defer func() { fs.parked-- }()
+	fs.nudge()
+	code := codeOverload // a failed flow answers like a timeout
+	for parked := true; parked && fs.completed() < epoch && fs.failed == nil; {
+		wake := fs.wake
+		fs.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			parked = false
+		case <-fs.s.done:
+			code, parked = codeClosing, false
+		}
+		fs.mu.Lock()
+	}
+	if fs.completed() >= epoch {
+		return ""
+	}
+	return code
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -33,6 +33,9 @@ type Metrics struct {
 	EpochsSealed    atomic.Int64
 	EpochsCompleted atomic.Int64
 	FlowFailures    atomic.Int64 // probe waits that ended in a dataflow error
+	// EpochsSealedOnDemand: seals a parked read triggered ahead of the cadence
+	// (near EpochsSealed: latency mode; near zero: batching mode).
+	EpochsSealedOnDemand atomic.Int64
 
 	// Reads.
 	ReadsServed  atomic.Int64
@@ -114,6 +117,8 @@ type Snapshot struct {
 	Escalations     int64  `json:"escalations"`
 	Mode            string `json:"mode"`
 
+	EpochsSealedOnDemand int64 `json:"epochs_sealed_on_demand"`
+
 	AckLatency    HistSnapshot `json:"ack_latency"`
 	AdmitWait     HistSnapshot `json:"admit_wait"`
 	IngestLatency HistSnapshot `json:"ingest_latency"`
@@ -150,5 +155,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		AckLatency:      ack,
 		AdmitWait:       admit,
 		IngestLatency:   ingest,
+
+		EpochsSealedOnDemand: m.EpochsSealedOnDemand.Load(),
 	}
 }

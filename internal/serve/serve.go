@@ -56,8 +56,10 @@ type Config struct {
 	MaxBatchRecords int
 	MaxBodyBytes    int64
 
-	// EpochInterval is the edge batching cadence: an open epoch with
-	// records seals at this interval. EpochMaxRecords seals it early.
+	// EpochInterval is the edge batching cadence: the longest an open
+	// epoch with records dwells when no read is waiting on it (one that a
+	// read is parked on seals as soon as its predecessor completes).
+	// EpochMaxRecords seals it early.
 	EpochInterval   time.Duration
 	EpochMaxRecords int
 
@@ -320,10 +322,12 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // Mode returns the current degradation mode.
 func (s *Server) Mode() Mode { return s.degrade.mode() }
 
-// Shutdown stops accepting traffic, stops the background goroutines, seals
-// and closes every flow's input (the server is the single producer), and
-// waits for the ack releasers to drain. The owning computation can then
-// Join.
+// Shutdown wakes parked reads (they answer 503 closing, so a read waiting
+// on an epoch that will never complete cannot hold the HTTP drain for its
+// whole timeout), stops accepting traffic, stops the background
+// goroutines, seals and closes every flow's input (the server is the
+// single producer), and waits for the ack releasers to drain. The owning
+// computation can then Join.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started || s.stopped {
@@ -333,8 +337,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopped = true
 	srv := s.http
 	s.mu.Unlock()
-	err := srv.Shutdown(ctx)
 	close(s.done)
+	err := srv.Shutdown(ctx)
 	for _, f := range s.snapshotFlows() {
 		f.stop()
 	}

@@ -19,15 +19,21 @@ import (
 // records update a Table keyed by k. When gated, the Subscribe callback
 // blocks until release() — the controllable "slow dataflow" every
 // backpressure and degradation test needs, since a blocked subscriber
-// stops the probe and therefore stops credits from returning.
+// stops the probe and therefore stops credits from returning. seen carries
+// each epoch the subscriber is handed (before any gate), so a test can wait
+// for "the edge sealed epoch e" as an event instead of sleeping.
 type env struct {
 	t     *testing.T
 	scope *lib.Scope
 	srv   *Server
 	table *Table
 	gate  chan struct{}
+	seen  chan int64
 	once  sync.Once
 	stop  sync.Once
+	// joinErr, when set, is the error Join must return (a test that aborts
+	// the computation on purpose).
+	joinErr error
 }
 
 func testConfig() Config {
@@ -47,7 +53,7 @@ func startEnv(t *testing.T, cfg Config, gated bool) *env {
 	// the server and computation have shut down.
 	t.Cleanup(testutil.CheckNoLeaks(t))
 	cfg.Seed = testutil.Seed(t)
-	e := &env{t: t, table: NewTable()}
+	e := &env{t: t, table: NewTable(), seen: make(chan int64, 1024)}
 	if gated {
 		e.gate = make(chan struct{})
 	}
@@ -58,6 +64,10 @@ func startEnv(t *testing.T, cfg Config, gated bool) *env {
 	e.scope = scope
 	in, stream := lib.NewInput[string](scope, "events", nil)
 	sub := lib.Subscribe(stream, func(epoch int64, recs []string) {
+		select {
+		case e.seen <- epoch:
+		default: // nobody is draining: the test does not use it
+		}
 		if e.gate != nil {
 			<-e.gate
 		}
@@ -112,8 +122,8 @@ func (e *env) close() {
 		if err := e.srv.Shutdown(ctx); err != nil {
 			e.t.Errorf("Shutdown: %v", err)
 		}
-		if err := e.scope.C.Join(); err != nil {
-			e.t.Errorf("Join: %v", err)
+		if err := e.scope.C.Join(); !errors.Is(err, e.joinErr) {
+			e.t.Errorf("Join: %v, want %v", err, e.joinErr)
 		}
 	})
 }
@@ -436,12 +446,17 @@ func TestProtocolErrors(t *testing.T) {
 		t.Fatal("dial to unknown flow succeeded")
 	}
 
+	// A min_epoch that is not an integer is a 400, not a silent read at
+	// whatever prefix happened to parse.
+	err = bad.do("GET", bad.base+"/v1/flows/wc/read?key=a&min_epoch=12abc", nil, http.StatusOK, nil)
+	wantRejected(t, err, http.StatusBadRequest, codeBadRequest)
+
 	// All-or-nothing accounting: nothing from the failed batches was fed.
 	if got := e.srv.Metrics().RecordsAccepted.Load(); got != 0 {
 		t.Fatalf("accepted %d records from failed batches, want 0", got)
 	}
-	if got := e.srv.Metrics().BadRequests.Load(); got < 2 {
-		t.Fatalf("bad requests %d, want >= 2", got)
+	if got := e.srv.Metrics().BadRequests.Load(); got < 3 {
+		t.Fatalf("bad requests %d, want >= 3", got)
 	}
 }
 

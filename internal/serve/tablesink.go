@@ -15,12 +15,15 @@ import (
 // and every read rides the sink's frontier stamps.
 //
 // The soundness argument leans on two sink guarantees. Batches are
-// byte-identical across replays, so the per-epoch dedup here is enough for
-// exactly-once application. And commits reach the store in epoch order with
-// at most one in flight, so the moment epoch e's batch is applied, every
-// earlier non-empty epoch already is — the table really is complete through
-// e, and the batch's guarantee-derived Frontier (ts.Root(e+1)) can be
-// published as the view's stamp without consulting the live tracker.
+// byte-identical across replays, so per-epoch dedup is enough for
+// exactly-once application. And every commit chain — a live incarnation's
+// or one stranded by a crash — reaches the store in epoch order with at
+// most one commit in flight, so the moment epoch e's batch is applied, every
+// earlier non-empty epoch already is: the table really is complete through
+// e, the batch's guarantee-derived Frontier (ts.Root(e+1)) can be published
+// as the view's stamp without consulting the live tracker, and "already
+// applied" is simply "not above the highest epoch applied" — one integer,
+// however many epochs the sink lives through.
 type TableSink struct {
 	tbl *Table
 	// decode turns one canonical record encoding into a table entry; a nil
@@ -28,7 +31,7 @@ type TableSink struct {
 	decode func(rec []byte) (key string, val []byte, err error)
 
 	mu       sync.Mutex
-	applied  map[int64]bool
+	applied  int64 // highest epoch applied; -1 before any
 	frontier ts.Timestamp
 }
 
@@ -39,7 +42,7 @@ func NewTableSink(decode func(rec []byte) (key string, val []byte, err error)) *
 	return &TableSink{
 		tbl:      NewTable(),
 		decode:   decode,
-		applied:  make(map[int64]bool),
+		applied:  -1,
 		frontier: ts.Root(0),
 	}
 }
@@ -69,10 +72,10 @@ func (s *TableSink) Commit(b lib.SinkBatch) (err error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.applied[b.Epoch] {
+	if b.Epoch <= s.applied {
 		return nil
 	}
-	s.applied[b.Epoch] = true
+	s.applied = b.Epoch
 	s.tbl.Update(b.Epoch, entries)
 	if s.frontier.Less(b.Frontier) {
 		s.frontier = b.Frontier

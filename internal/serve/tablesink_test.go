@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	gort "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,45 @@ func TestTableSinkAppliesDedupsAndStamps(t *testing.T) {
 	}
 }
 
+// TestTableSinkRetainsNothingPerEpoch pins the dedup state to one integer:
+// the sink lives as long as the server, so anything it kept per committed
+// epoch would be a leak. 100 000 epochs rewriting one key must leave the
+// heap where it was.
+func TestTableSinkRetainsNothingPerEpoch(t *testing.T) {
+	v := NewTableSink(kvDecode)
+	b := kvBatch(0, "a=1")
+	heap := func() int64 {
+		var ms gort.MemStats
+		gort.GC()
+		gort.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	const epochs = 100_000
+	for e := int64(0); e < epochs; e++ {
+		b.Epoch, b.Frontier = e, ts.Root(e+1)
+		if err := v.Commit(b); err != nil {
+			t.Fatalf("Commit epoch %d: %v", e, err)
+		}
+	}
+	// A per-epoch set costs well over 1 MB at this count.
+	if grew := heap() - before; grew > 256<<10 {
+		t.Fatalf("sink retained %d bytes over %d epochs, want a constant", grew, epochs)
+	}
+	if _, epoch, ok := v.Lookup("a"); !ok || epoch != epochs-1 || v.Frontier() != ts.Root(epochs) {
+		t.Fatalf("after %d epochs: epoch %d ok=%v frontier %v", epochs, epoch, ok, v.Frontier())
+	}
+	// Dedup still holds at the far end: any epoch at or below the mark is a
+	// replay.
+	b.Epoch, b.Frontier, b.Data = 7, ts.Root(8), kvBatch(7, "a=stale").Data
+	if err := v.Commit(b); err != nil {
+		t.Fatalf("replayed Commit: %v", err)
+	}
+	if val, _, _ := v.Lookup("a"); string(val) != "1" {
+		t.Fatalf("replayed epoch overwrote a = %q", val)
+	}
+}
+
 func TestTableSinkRejectsMalformedBatch(t *testing.T) {
 	v := NewTableSink(kvDecode)
 	bad := lib.SinkBatch{Epoch: 0, Frontier: ts.Root(1), Data: []byte{0xff, 0xff}}
@@ -108,8 +148,61 @@ func TestTableSinkRejectsMalformedBatch(t *testing.T) {
 // keeps the probe from completing an epoch until the view's commit is
 // acknowledged.
 func TestServeReadsRideSinkFrontier(t *testing.T) {
+	view := NewTableSink(kvDecode)
+	srv, c := startSinkFlow(t, testConfig(), view, view)
+
+	ack, err := c.SendStrings("a=1", "b=2")
+	if err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+
+	// Raw GET so the frontier stamp is observable in both header and body.
+	url := fmt.Sprintf("http://%s/v1/flows/wc/read?key=a&min_epoch=%d", srv.Addr(), ack.Epoch)
+	httpResp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, httpResp.StatusCode)
+	}
+	var resp readResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	if resp.Value != "1" || resp.Epoch < ack.Epoch {
+		t.Fatalf("read a = %q@%d, want 1@>=%d", resp.Value, resp.Epoch, ack.Epoch)
+	}
+	// Both records entered one epoch and nothing later has sealed records,
+	// so the view frontier is exactly the batch's stamp: Root(epoch+1).
+	want := ts.Root(ack.Epoch + 1).String()
+	if resp.Frontier != want {
+		t.Fatalf("body frontier %q, want %q", resp.Frontier, want)
+	}
+	if h := httpResp.Header.Get("X-Naiad-View-Frontier"); h != want {
+		t.Fatalf("header frontier %q, want %q", h, want)
+	}
+
+	// An update in a later epoch advances both the value and the stamp.
+	ack2, err := c.SendStrings("a=3")
+	if err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if v, epoch, err := c.Read("a", ack2.Epoch); err != nil || v != "3" || epoch < ack2.Epoch {
+		t.Fatalf("read after update = %q@%d, %v; want 3@>=%d", v, epoch, err, ack2.Epoch)
+	}
+	if got, want := view.Frontier(), ts.Root(ack2.Epoch+1); got != want {
+		t.Fatalf("view frontier %v, want %v", got, want)
+	}
+}
+
+// startSinkFlow runs a front door whose flow "wc" feeds "k=v" records
+// through an exactly-once lib.Sink into store, and serves reads from view
+// (usually the TableSink inside store). Server, computation and client are
+// torn down by t.Cleanup, under the goroutine-leak check.
+func startSinkFlow(t *testing.T, cfg Config, store lib.SinkStore, view View) (*Server, *Client) {
+	t.Helper()
 	t.Cleanup(testutil.CheckNoLeaks(t))
-	cfg := testConfig()
 	cfg.Seed = testutil.Seed(t)
 
 	scope, err := lib.NewScope(runtime.Config{Processes: 1, WorkersPerProcess: 2})
@@ -117,8 +210,7 @@ func TestServeReadsRideSinkFrontier(t *testing.T) {
 		t.Fatalf("NewScope: %v", err)
 	}
 	in, stream := lib.NewInput[string](scope, "events", codec.String())
-	view := NewTableSink(kvDecode)
-	st := lib.Sink(stream, view)
+	st := lib.Sink(stream, store)
 	probe := scope.C.NewProbe(st)
 	if err := scope.C.Start(); err != nil {
 		t.Fatalf("Start computation: %v", err)
@@ -164,49 +256,6 @@ func TestServeReadsRideSinkFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	defer c.Close()
-
-	ack, err := c.SendStrings("a=1", "b=2")
-	if err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-
-	// Raw GET so the frontier stamp is observable in both header and body.
-	url := fmt.Sprintf("http://%s/v1/flows/wc/read?key=a&min_epoch=%d", srv.Addr(), ack.Epoch)
-	httpResp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, httpResp.StatusCode)
-	}
-	var resp readResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		t.Fatalf("decode response: %v", err)
-	}
-	if resp.Value != "1" || resp.Epoch < ack.Epoch {
-		t.Fatalf("read a = %q@%d, want 1@>=%d", resp.Value, resp.Epoch, ack.Epoch)
-	}
-	// Both records entered one epoch and nothing later has sealed records,
-	// so the view frontier is exactly the batch's stamp: Root(epoch+1).
-	want := ts.Root(ack.Epoch + 1).String()
-	if resp.Frontier != want {
-		t.Fatalf("body frontier %q, want %q", resp.Frontier, want)
-	}
-	if h := httpResp.Header.Get("X-Naiad-View-Frontier"); h != want {
-		t.Fatalf("header frontier %q, want %q", h, want)
-	}
-
-	// An update in a later epoch advances both the value and the stamp.
-	ack2, err := c.SendStrings("a=3")
-	if err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if v, epoch, err := c.Read("a", ack2.Epoch); err != nil || v != "3" || epoch < ack2.Epoch {
-		t.Fatalf("read after update = %q@%d, %v; want 3@>=%d", v, epoch, err, ack2.Epoch)
-	}
-	if got, want := view.Frontier(), ts.Root(ack2.Epoch+1); got != want {
-		t.Fatalf("view frontier %v, want %v", got, want)
-	}
+	t.Cleanup(func() { c.Close() })
+	return srv, c
 }
