@@ -25,9 +25,13 @@ cover:
 # Static analysis: go vet plus the repository's own naiad-vet suite, the
 # static twins of the runtime's dynamic vertex-contract checks (see
 # docs/static-analysis.md). govulncheck is best-effort: it is not part of
-# the toolchain and needs network access for the vuln database.
+# the toolchain and needs network access for the vuln database. The unsafe
+# fence: internal/codec/flat.go (the compiled flat codec) is the one
+# non-test file allowed to import "unsafe".
 vet:
 	$(GO) vet ./...
+	@if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '^\(import \)\?[[:space:]]*"unsafe"' . | grep -vx './internal/codec/flat.go'; then \
+		echo 'vet: only internal/codec/flat.go may import "unsafe" (files above)' >&2; exit 1; fi
 	@$(GO) build -o /dev/null ./cmd/naiad-vet || { \
 		echo "vet: naiad-vet failed to build; if imports cannot be resolved, run 'go mod tidy' and retry" >&2; \
 		exit 1; }
@@ -123,12 +127,14 @@ soak-ingress:
 			-run 'TestSoakIngress' ./internal/serve/; \
 	done
 
-# Short fuzz passes over the codec, frame, barrier, and trace-log parsers,
+# Short fuzz passes over the codec (primitives and the compiled flat plan
+# against its reflect-only oracle), frame, barrier, and trace-log parsers,
 # plus the capability/tracker differential (the indexed tracker against its
 # two oracles, test-side, on every schedule of mint/clone/downgrade/drop).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCapabilityDifferential -fuzztime=10s ./internal/progress/
 	$(GO) test -run=^$$ -fuzz=FuzzDecoder -fuzztime=10s ./internal/codec/
+	$(GO) test -run=^$$ -fuzz=FuzzFlatCodec -fuzztime=10s ./internal/codec/
 	$(GO) test -run=^$$ -fuzz=FuzzParseFrameHeader -fuzztime=10s ./internal/transport/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeProgress -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/runtime/

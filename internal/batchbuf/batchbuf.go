@@ -57,6 +57,9 @@ type Column interface {
 	// share a type, boxing otherwise. It reports false only when the boxed
 	// value cannot be stored (typed column, foreign type).
 	AppendIndex(src Column, i int) bool
+	// scatter is the column-typed loop behind Batch.Scatter; b is the batch
+	// the column belongs to.
+	scatter(b *Batch, dst []uint32, subs []*Batch)
 	// reset empties the column for reuse, keeping capacity.
 	reset()
 }
@@ -106,8 +109,8 @@ func (b *Batch) Release() {
 }
 
 // NewLike returns an empty pooled batch with the same column type as b (one
-// reference, owned by the caller) — the builder used when scattering a
-// batch across destinations. Unpooled batches fall back to the type-keyed
+// reference, owned by the caller) — the builder Scatter creates per
+// destination. Unpooled batches fall back to the type-keyed
 // global pool when possible, else a boxed builder.
 func (b *Batch) NewLike(capacity int) *Batch {
 	if b.home != nil {
@@ -123,11 +126,18 @@ func (b *Batch) NewLike(capacity int) *Batch {
 // mismatch with a typed column.
 func (b *Batch) Append(v any) bool { return b.col.Append(v) }
 
-// AppendIndex copies record i of src into the batch, without boxing when
-// the column types match.
-func (b *Batch) AppendIndex(src *Batch, i int) bool {
-	return b.col.AppendIndex(src.col, i)
-}
+// Scatter copies record i of b into subs[dst[i]], for every i — the one
+// loop behind every exchange. dst has exactly b.Len() entries, each below
+// len(subs); subs must be all nil on entry. A destination's builder (a
+// pooled batch of b's column type, one reference owned by the caller) is
+// created when its first record arrives, so a destination that receives
+// nothing stays nil and costs nothing. The loop is typed per column: no
+// record is boxed and no interface method is called per record.
+func (b *Batch) Scatter(dst []uint32, subs []*Batch) { b.col.scatter(b, dst, subs) }
+
+// scatterHint sizes a scatter builder: an even share of the n records plus
+// slack for an uneven hash, instead of n for every destination.
+func scatterHint(n, peers int) int { return n/peers + n/8 + 4 }
 
 // AppendBatch bulk-appends every record of src, without boxing when the
 // column types match. It reports false only when a typed destination cannot
@@ -158,6 +168,10 @@ type bulkAppender interface {
 // Col is a typed column: a plain []T operators process without boxing.
 type Col[T any] struct {
 	Data []T
+	// keep marks a pooled column of a pointer-free T: recycling it need not
+	// zero the records, because stale ones pin no memory and every consumer
+	// overwrites what it exposes.
+	keep bool
 }
 
 // Len returns the number of records.
@@ -198,7 +212,32 @@ func (c *Col[T]) appendAll(src Column) bool {
 	return true
 }
 
-func (c *Col[T]) reset() { clear(c.Data); c.Data = c.Data[:0] }
+// scatter keeps each destination's typed column in a local table, so the
+// per-record work is an index and an append.
+func (c *Col[T]) scatter(b *Batch, dst []uint32, subs []*Batch) {
+	var local [8]*Col[T]
+	cols := local[:]
+	if len(subs) > len(local) {
+		cols = make([]*Col[T], len(subs))
+	}
+	hint := scatterHint(len(c.Data), len(subs))
+	for i, d := range dst {
+		col := cols[d]
+		if col == nil {
+			subs[d] = b.NewLike(hint)
+			col = subs[d].col.(*Col[T])
+			cols[d] = col
+		}
+		col.Data = append(col.Data, c.Data[i])
+	}
+}
+
+func (c *Col[T]) reset() {
+	if !c.keep {
+		clear(c.Data)
+	}
+	c.Data = c.Data[:0]
+}
 
 func (c *Col[T]) poolFor() pool { return PoolFor[T]() }
 
@@ -225,6 +264,17 @@ func (c *anyCol) appendAll(src Column) bool {
 	return false
 }
 
+func (c *anyCol) scatter(b *Batch, dst []uint32, subs []*Batch) {
+	hint := scatterHint(len(c.data), len(subs))
+	for i, d := range dst {
+		if subs[d] == nil {
+			subs[d] = b.NewLike(hint)
+		}
+		col := subs[d].col.(*anyCol)
+		col.data = append(col.data, c.data[i])
+	}
+}
+
 func (c *anyCol) reset() { clear(c.data); c.data = c.data[:0] }
 
 // Pool is a typed batch arena. The zero value is not usable; construct with
@@ -236,10 +286,32 @@ type Pool[T any] struct {
 // NewPool returns a fresh typed batch pool.
 func NewPool[T any]() *Pool[T] {
 	pl := &Pool[T]{}
+	keep := pointerFree(reflect.TypeFor[T]())
 	pl.p.New = func() any {
-		return &Batch{col: &Col[T]{}, home: pl}
+		return &Batch{col: &Col[T]{keep: keep}, home: pl}
 	}
 	return pl
+}
+
+// pointerFree reports whether values of t hold no pointers.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 // Get returns an empty typed batch with one reference, growing its column

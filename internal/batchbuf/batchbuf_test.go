@@ -1,7 +1,12 @@
 package batchbuf
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
+
+	"naiad/internal/testutil"
 )
 
 func TestTypedPoolRecycles(t *testing.T) {
@@ -50,7 +55,7 @@ func TestPoolForSharesArena(t *testing.T) {
 func TestAppendIndexTypedNoBox(t *testing.T) {
 	src := Of([]int64{10, 20, 30})
 	dst := src.NewLike(4)
-	if !dst.AppendIndex(src, 2) || !dst.AppendIndex(src, 0) {
+	if !dst.Col().AppendIndex(src.Col(), 2) || !dst.Col().AppendIndex(src.Col(), 0) {
 		t.Fatalf("typed AppendIndex failed")
 	}
 	got := dst.Col().Slice().([]int64)
@@ -59,7 +64,7 @@ func TestAppendIndexTypedNoBox(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		dst.Col().reset()
-		dst.AppendIndex(src, 1)
+		dst.Col().AppendIndex(src.Col(), 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("typed AppendIndex allocates %.1f/op, want 0", allocs)
@@ -75,7 +80,7 @@ func TestBoxedFallbacks(t *testing.T) {
 	if typed.Append("not an int64") {
 		t.Fatalf("typed Append accepted a foreign type")
 	}
-	if !bx.AppendIndex(typed, 0) {
+	if !bx.Col().AppendIndex(typed.Col(), 0) {
 		t.Fatalf("boxed AppendIndex failed")
 	}
 	if bx.Len() != 3 || bx.Record(2).(int64) != 1 {
@@ -159,5 +164,151 @@ func TestColReleaseClearsData(t *testing.T) {
 	_, col2 := p.Get(1)
 	if d := col2.Data[:1]; d[0].p != nil {
 		t.Fatalf("release did not clear pointerful records")
+	}
+}
+
+// scatterByRecord is the per-record loop Scatter replaced in the router and
+// the input (one AppendIndex interface call per record, every builder sized
+// for the whole batch), kept as Scatter's oracle and benchmark baseline.
+func scatterByRecord(b *Batch, dst []uint32, subs []*Batch) {
+	for i, d := range dst {
+		if subs[d] == nil {
+			subs[d] = b.NewLike(b.Len())
+		}
+		subs[d].col.AppendIndex(b.col, i)
+	}
+}
+
+type scatterRec struct {
+	K int64
+	S string
+}
+
+// TestScatterMatchesPerRecordLoop: for typed, boxed and mixed columns,
+// every peer count the tests use and batch sizes on both sides of the
+// builder hint, Scatter places every record exactly where the per-record
+// loop did, in the same order, and never creates a builder for a
+// destination that received nothing — an empty batch reaching routeBatchTo
+// would post a zero-count progress update.
+func TestScatterMatchesPerRecordLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(testutil.Seed(t)))
+	columns := map[string]func(n int) *Batch{
+		"typed pooled": func(n int) *Batch {
+			b, col := PoolFor[int64]().Get(n)
+			for i := 0; i < n; i++ {
+				col.Data = append(col.Data, int64(i*7))
+			}
+			return b
+		},
+		"typed unpooled struct": func(n int) *Batch {
+			recs := make([]scatterRec, n)
+			for i := range recs {
+				recs[i] = scatterRec{K: int64(i), S: fmt.Sprint("s", i)}
+			}
+			return Of(recs)
+		},
+		"boxed": func(n int) *Batch {
+			b := GetBoxed(n)
+			for i := 0; i < n; i++ {
+				b.Append(int64(i))
+			}
+			return b
+		},
+		"mixed": func(n int) *Batch {
+			recs := make([]any, n)
+			for i := range recs {
+				recs[i] = []any{int64(i), fmt.Sprint(i), float64(i) / 2}[i%3]
+			}
+			return Wrap(recs)
+		},
+	}
+	for name, mk := range columns {
+		for peers := 1; peers <= 5; peers++ {
+			for _, n := range []int{0, 1, 3, 63, 64, 65, 4096} {
+				for _, skew := range []bool{false, true} {
+					b := mk(n)
+					dst := make([]uint32, n)
+					for i := range dst {
+						if !skew {
+							dst[i] = uint32(rng.Intn(peers))
+						} else if i%17 == 0 {
+							dst[i] = uint32(peers - 1) // all but a few to destination 0
+						}
+					}
+					got, want := make([]*Batch, peers), make([]*Batch, peers)
+					b.Scatter(dst, got)
+					scatterByRecord(b, dst, want)
+					total := 0
+					for d := range got {
+						if (got[d] == nil) != (want[d] == nil) {
+							t.Fatalf("%s peers=%d n=%d: destination %d builder presence differs", name, peers, n, d)
+						}
+						if got[d] == nil {
+							continue
+						}
+						if got[d].Len() == 0 {
+							t.Fatalf("%s peers=%d n=%d: empty builder for destination %d", name, peers, n, d)
+						}
+						if !reflect.DeepEqual(got[d].Col().Slice(), want[d].Col().Slice()) {
+							t.Fatalf("%s peers=%d n=%d: destination %d = %v, want %v",
+								name, peers, n, d, got[d].Col().Slice(), want[d].Col().Slice())
+						}
+						total += got[d].Len()
+						got[d].Release()
+						want[d].Release()
+					}
+					if total != n {
+						t.Fatalf("%s peers=%d n=%d: scattered %d records", name, peers, n, total)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A pooled column of a pointer-free type is recycled without zeroing; one
+// that holds pointers is still cleared (TestColReleaseClearsData).
+func TestPointerFree(t *testing.T) {
+	type flat struct {
+		A [2]int32
+		B struct{ F float64 }
+	}
+	if !pointerFree(reflect.TypeFor[flat]()) || pointerFree(reflect.TypeFor[scatterRec]()) ||
+		pointerFree(reflect.TypeFor[*int]()) || pointerFree(reflect.TypeFor[[]int]()) {
+		t.Fatal("pointerFree misclassified a type")
+	}
+}
+
+// BenchmarkScatter is the exchange's scatter step, ns per record, at the
+// two shapes the end-to-end benchmark has: a few records per batch
+// (loop_tcp) and a full batch (keycount), against the loop it replaced.
+func BenchmarkScatter(b *testing.B) {
+	for _, peers := range []int{2, 3} {
+		for _, n := range []int{4, 16384} {
+			src, col := PoolFor[[2]int64]().Get(n)
+			dst := make([]uint32, n)
+			for i := 0; i < n; i++ {
+				col.Data = append(col.Data, [2]int64{int64(i), 1})
+				dst[i] = uint32((i * 2654435761) % peers)
+			}
+			for name, scatter := range map[string]func(*Batch, []uint32, []*Batch){
+				"kernel": (*Batch).Scatter, "loop": scatterByRecord,
+			} {
+				b.Run(fmt.Sprintf("peers=%d/n=%d/%s", peers, n, name), func(b *testing.B) {
+					subs := make([]*Batch, peers)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						scatter(src, dst, subs)
+						for d, sub := range subs {
+							if sub != nil {
+								sub.Release()
+								subs[d] = nil
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
+				})
+			}
+		}
 	}
 }

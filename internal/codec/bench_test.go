@@ -25,8 +25,10 @@ func BenchmarkInt64Batch(b *testing.B) {
 	}
 }
 
-// BenchmarkGobBatch measures the reflection fallback on the same shape,
-// quantifying what a hand-written codec buys.
+// BenchmarkGobBatch measures Gob[int64] — the compiled flat plan — on the
+// same shape through the boxed interface, quantifying what a hand-written
+// codec still buys (BenchmarkGobPairColumn has the typed-column figures and
+// a gob control).
 func BenchmarkGobBatch(b *testing.B) {
 	const n = 1024
 	records := make([]any, n)

@@ -205,6 +205,16 @@ type BatchCodec interface {
 	DecodeBatchCol(dec *Decoder, n int) *batchbuf.Batch
 }
 
+// SliceEncoder is EncodeColumn with the element type known statically: a
+// caller that holds a []T (lib.Sink's canonical form, encoding one record at
+// a time) reaches the typed path without boxing the slice into any. The
+// bytes are EncodeBatch's. Both codecs in this package implement it; a
+// wrapper that forwards only Codec and BatchCodec hides it, and its callers
+// fall back to the boxed interface.
+type SliceEncoder[T any] interface {
+	EncodeSlice(enc *Encoder, recs []T)
+}
+
 // funcCodec adapts per-record encode/decode functions for a concrete type.
 type funcCodec[T any] struct {
 	enc  func(*Encoder, T)
@@ -229,13 +239,17 @@ func (c funcCodec[T]) DecodeBatch(dec *Decoder, n int) []any {
 // EncodeColumn implements BatchCodec: same bytes as EncodeBatch, no boxing.
 func (c funcCodec[T]) EncodeColumn(enc *Encoder, col any) bool {
 	data, ok := col.([]T)
-	if !ok {
-		return false
+	if ok {
+		c.EncodeSlice(enc, data)
 	}
-	for _, r := range data {
+	return ok
+}
+
+// EncodeSlice implements SliceEncoder.
+func (c funcCodec[T]) EncodeSlice(enc *Encoder, recs []T) {
+	for _, r := range recs {
 		c.enc(enc, r)
 	}
-	return true
 }
 
 // DecodeBatchCol implements BatchCodec: decode into a pooled typed batch.

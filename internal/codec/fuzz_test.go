@@ -54,12 +54,13 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
-// FuzzGobDecodeBatch feeds corrupted gob streams to the fallback codec:
+// FuzzGobDecodeBatch feeds corrupted streams to Gob[T] in its flat mode
+// (int64) and its primed-gob mode ([]int64, a slice, gets no flat plan):
 // decode must error through Catch, never panic uncaught or return a batch
 // of the wrong length.
 func FuzzGobDecodeBatch(f *testing.F) {
 	enc := NewEncoder(64)
-	Gob[int64]().EncodeBatch(enc, []any{int64(1), int64(2), int64(3)})
+	Gob[[]int64]().EncodeBatch(enc, []any{[]int64{1}, []int64{2}, []int64{3}})
 	f.Add(uint32(3), enc.Bytes())
 	f.Add(uint32(3), enc.Bytes()[:len(enc.Bytes())/2])
 	f.Add(uint32(1000), enc.Bytes())
@@ -68,12 +69,12 @@ func FuzzGobDecodeBatch(f *testing.F) {
 		if n > 1<<16 {
 			n %= 1 << 16 // bound the expected-count argument, not the input bytes
 		}
-		var out []any
-		err := Catch(func() {
-			out = Gob[int64]().DecodeBatch(NewDecoder(data), int(n))
-		})
-		if err == nil && len(out) != int(n) {
-			t.Fatalf("decode returned %d records, want %d", len(out), n)
+		for _, c := range []Codec{Gob[int64](), Gob[[]int64]()} {
+			var out []any
+			err := Catch(func() { out = c.DecodeBatch(NewDecoder(data), int(n)) })
+			if err == nil && len(out) != int(n) {
+				t.Fatalf("decode returned %d records, want %d", len(out), n)
+			}
 		}
 	})
 }

@@ -10,14 +10,25 @@ import (
 	"naiad/internal/batchbuf"
 )
 
-// Gob-backed fallback codec with cached stream state.
+// Gob[T]: the default record codec, in one of three modes chosen once per
+// codec instance from T alone.
 //
-// encoding/gob sends a type descriptor the first time a type crosses an
-// encoder, then only values. A fresh gob.Encoder per frame therefore
-// re-sends every descriptor on every frame — for a small struct batch the
-// descriptors dwarf the payload. The sessions below keep primed
-// encoder/decoder pairs cached per codec instance (one instance per
-// connector), so descriptors are paid once per session, not per frame.
+//  1. Flat plan (flat.go). T is built only from fixed-width ints, floats,
+//     bool, string, and exported-field structs and arrays of those, with no
+//     custom gob/binary marshalling: a compiled (offset, kind) plan encodes
+//     and decodes whole []T columns with no reflection, straight into and
+//     out of pooled typed columns. No gob is involved and no priming is paid.
+//  2. Primed value-only gob. Any other type whose gob descriptor set is
+//     closed (no interface anywhere in its type graph).
+//  3. Self-contained gob. Everything else: a fresh encoder/decoder per frame.
+//
+// Modes 2 and 3 exist because encoding/gob sends a type descriptor the
+// first time a type crosses an encoder, then only values. A fresh
+// gob.Encoder per frame therefore re-sends every descriptor on every frame —
+// for a small struct batch the descriptors dwarf the payload. The sessions
+// below keep primed encoder/decoder pairs cached per codec instance (one
+// instance per connector), so descriptors are paid once per session, not
+// per frame.
 //
 // Frames must still decode standalone and in any order: the replay log,
 // barrier cut snapshots, and checkpoint fragments all store frames and
@@ -34,19 +45,26 @@ import (
 // descriptors mid-stream (gob transmits the dynamic type on first use),
 // which would make frames order-dependent. Such types — and anything else
 // whose descriptor closure the primer cannot reach — fall back to the old
-// self-contained framing (fresh encoder/decoder per frame). The two modes
-// produce different bytes, so both sides must agree; they do, because the
-// mode is a pure function of T evaluated identically in every process
-// running the same binary.
+// self-contained framing (fresh encoder/decoder per frame).
+//
+// The three modes produce different bytes, so both sides must agree; they
+// do, because the mode is a pure function of T evaluated identically in
+// every process running the same binary. Bytes written by a *different*
+// binary are a persistence-format question: the one place frames outlive a
+// process is a persisted CutSnapshot, whose version constant changes with
+// the codec (runtime.cutVersion).
 
-// gobCodec serializes []T batches with encoding/gob, amortizing type
-// information across the connector's lifetime (see the package comment
-// above). It is the fallback for record types without a hand-written codec.
+// gobCodec serializes []T batches in the mode Gob chose for T (see the
+// comment above). It is the codec of record types without a hand-written
+// one.
 type gobCodec[T any] struct {
 	s *gobState[T]
 }
 
 type gobState[T any] struct {
+	flat *flatPlan         // mode 1 when non-nil; the gob fields below are then unused
+	pool *batchbuf.Pool[T] // mode 1's decode target
+
 	streamable bool   // descriptor set closed: value-only frames are safe
 	primer     []byte // descriptor bytes a fresh session must consume first
 
@@ -54,11 +72,15 @@ type gobState[T any] struct {
 	decs sync.Pool // *gobDecSession[T]
 }
 
-// Gob returns a gob-backed codec for arbitrary record types. The returned
-// codec carries cached encoder/decoder stream state; create one per
+// Gob returns the default codec for arbitrary record types. The returned
+// codec may carry cached encoder/decoder stream state; create one per
 // connector (as lib does) and reuse it for the connector's lifetime.
 func Gob[T any]() Codec {
-	st := &gobState[T]{streamable: descriptorClosed(reflect.TypeFor[T]())}
+	t := reflect.TypeFor[T]()
+	if p := newFlatPlan(t); p != nil {
+		return gobCodec[T]{s: &gobState[T]{flat: p, pool: batchbuf.PoolFor[T]()}}
+	}
+	st := &gobState[T]{streamable: descriptorClosed(t)}
 	if st.streamable {
 		s := newGobEncSession[T]()
 		st.primer = append([]byte(nil), s.primerBytes...)
@@ -120,9 +142,14 @@ func (s *gobDecSession[T]) decode(frame []byte) []T {
 	return v
 }
 
-// encodeSlice frames one batch, through a cached session when the type is
-// streamable.
-func (c gobCodec[T]) encodeSlice(enc *Encoder, slice []T) {
+// EncodeSlice implements SliceEncoder and is the one encode path: it frames
+// one batch through the flat plan, else through a cached session when the
+// type is streamable.
+func (c gobCodec[T]) EncodeSlice(enc *Encoder, slice []T) {
+	if c.s.flat != nil {
+		flatEncode(c.s.flat, enc, slice)
+		return
+	}
 	if !c.s.streamable {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(slice); err != nil {
@@ -139,7 +166,7 @@ func (c gobCodec[T]) encodeSlice(enc *Encoder, slice []T) {
 	c.s.encs.Put(s)
 }
 
-// decodeSlice parses one frame. The result owns its memory (gob always
+// decodeSlice parses one gob frame. The result owns its memory (gob always
 // copies), honoring the Codec self-containment contract. A session is
 // returned to the pool only after a clean decode: a corrupt frame may leave
 // its internal state mid-message, so the session is discarded with the
@@ -170,15 +197,16 @@ func (c gobCodec[T]) EncodeBatch(enc *Encoder, records []any) {
 	for i, r := range records {
 		slice[i] = r.(T)
 	}
-	c.encodeSlice(enc, slice)
+	c.EncodeSlice(enc, slice)
 }
 
 func (c gobCodec[T]) DecodeBatch(dec *Decoder, n int) []any {
-	slice := c.decodeSlice(dec, n)
+	b := c.DecodeBatchCol(dec, n)
 	out := make([]any, n)
-	for i, v := range slice {
+	for i, v := range b.Col().Slice().([]T) {
 		out[i] = v
 	}
+	b.Release()
 	return out
 }
 
@@ -189,14 +217,21 @@ func (c gobCodec[T]) EncodeColumn(enc *Encoder, col any) bool {
 	if !ok {
 		return false
 	}
-	c.encodeSlice(enc, slice)
+	c.EncodeSlice(enc, slice)
 	return true
 }
 
-// DecodeBatchCol implements BatchCodec. Gob necessarily allocates the
-// decoded slice, so the batch adopts it instead of copying into a pooled
-// column.
+// DecodeBatchCol implements BatchCodec. The flat plan decodes in place into
+// a pooled column; gob necessarily allocates the decoded slice, so the
+// batch adopts it instead of copying.
 func (c gobCodec[T]) DecodeBatchCol(dec *Decoder, n int) *batchbuf.Batch {
+	if p := c.s.flat; p != nil {
+		p.checkCount(dec, n)
+		b, col := c.s.pool.Get(n)
+		col.Data = col.Data[:n]
+		flatDecode(p, dec, col.Data)
+		return b
+	}
 	return batchbuf.Of(c.decodeSlice(dec, n))
 }
 

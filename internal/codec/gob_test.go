@@ -7,10 +7,13 @@ import (
 	"testing"
 )
 
+// gobRec is one slice field away from a flat type, so Gob[gobRec] is the
+// primed value-only gob mode these tests are about.
 type gobRec struct {
 	Key   string
 	Count int64
 	Score float64
+	Tags  []string
 }
 
 // naiveGobFrame is the pre-fix framing: a fresh gob.Encoder per batch, so

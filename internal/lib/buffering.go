@@ -90,28 +90,37 @@ func FoldByKey[K comparable, V any, S any](s *Stream[Pair[K, V]],
 	init func(K) S, fold func(S, V) S, cod codec.Codec) *Stream[Pair[K, S]] {
 	c := s.scope.C
 	st := c.AddStage("FoldByKey", graph.RoleNormal, s.depth, func(ctx *runtime.Context) runtime.Vertex {
+		// Per time: the folded pairs, dense and in first-seen order, and each
+		// key's index into them — so a key already seen costs one map probe.
+		// A completed time's state is emptied and reused by the next.
 		type epochState struct {
-			m     map[K]S
-			order []K
+			idx map[K]int32
+			out []Pair[K, S]
 		}
 		states := make(map[ts.Timestamp]*epochState)
+		var free []*epochState
 		pool := batchbuf.PoolFor[Pair[K, S]]()
 		get := func(t ts.Timestamp) *epochState {
 			es := states[t]
 			if es == nil {
-				es = &epochState{m: make(map[K]S)}
+				if n := len(free); n > 0 {
+					es, free = free[n-1], free[:n-1]
+				} else {
+					es = &epochState{idx: make(map[K]int32)}
+				}
 				states[t] = es
 				ctx.NotifyAt(t)
 			}
 			return es
 		}
 		one := func(es *epochState, rec Pair[K, V]) {
-			st, ok := es.m[rec.Key]
+			i, ok := es.idx[rec.Key]
 			if !ok {
-				st = init(rec.Key)
-				es.order = append(es.order, rec.Key)
+				i = int32(len(es.out))
+				es.idx[rec.Key] = i
+				es.out = append(es.out, Pair[K, S]{Key: rec.Key, Val: init(rec.Key)})
 			}
-			es.m[rec.Key] = fold(st, rec.Val)
+			es.out[i].Val = fold(es.out[i].Val, rec.Val)
 		}
 		return &batchVertexOf[Pair[K, V]]{
 			vertexOf: vertexOf[Pair[K, V]]{
@@ -119,11 +128,13 @@ func FoldByKey[K comparable, V any, S any](s *Stream[Pair[K, V]],
 				notify: func(t ts.Timestamp) {
 					es := states[t]
 					delete(states, t)
-					out, col := pool.Get(len(es.order))
-					for _, k := range es.order {
-						col.Data = append(col.Data, Pair[K, S]{Key: k, Val: es.m[k]})
-					}
+					out, col := pool.Get(len(es.out))
+					col.Data = append(col.Data, es.out...)
 					ctx.SendBatchBy(0, out, t)
+					clear(es.idx)
+					clear(es.out)
+					es.out = es.out[:0]
+					free = append(free, es)
 				},
 			},
 			recvBatch: func(_ int, data []Pair[K, V], _ *runtime.Batch, t ts.Timestamp) {
@@ -134,7 +145,7 @@ func FoldByKey[K comparable, V any, S any](s *Stream[Pair[K, V]],
 			},
 		}
 	})
-	connect(c, s.stage, s.port, st, HashPair[K, V], s.cod)
+	connect(c, s.stage, s.port, st, pairHasher[K, V](), s.cod)
 	return &Stream[Pair[K, S]]{scope: s.scope, stage: st, port: 0, cod: orGob[Pair[K, S]](cod), depth: s.depth}
 }
 

@@ -4,38 +4,64 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"hash/fnv"
+	"sync"
 )
 
 // Hash maps a comparable key to a well-mixed 64-bit value for data
 // exchange. Fast paths cover the key types the workloads use; anything
 // else falls back to a gob+FNV encoding (correct, slower).
-func Hash[K comparable](k K) uint64 {
-	switch v := any(k).(type) {
+func Hash[K comparable](k K) uint64 { return hasherFor[K]()(k) }
+
+// hasherFor picks K's hash from the type alone, so a connector chooses it
+// once and then hashes every key without boxing it.
+func hasherFor[K comparable]() func(K) uint64 {
+	var h any
+	switch any(*new(K)).(type) {
 	case int:
-		return mix64(uint64(v))
+		h = func(k int) uint64 { return mix64(uint64(k)) }
 	case int32:
-		return mix64(uint64(v))
+		h = func(k int32) uint64 { return mix64(uint64(k)) }
 	case int64:
-		return mix64(uint64(v))
+		h = func(k int64) uint64 { return mix64(uint64(k)) }
 	case uint32:
-		return mix64(uint64(v))
+		h = func(k uint32) uint64 { return mix64(uint64(k)) }
 	case uint64:
-		return mix64(v)
+		h = mix64
 	case string:
-		h := fnv.New64a()
-		h.Write([]byte(v))
-		return mix64(h.Sum64())
+		h = hashString
 	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			panic(fmt.Sprintf("lib: unhashable key %T: %v", v, err))
-		}
-		h := fnv.New64a()
-		h.Write(buf.Bytes())
-		return mix64(h.Sum64())
+		return hashGob[K]
 	}
+	return h.(func(K) uint64)
 }
+
+// hashGob hashes the key's gob encoding. A fresh encoder per key, so the
+// bytes hashed (descriptors included) depend on the key alone; only the
+// buffer is reused.
+func hashGob[K comparable](k K) uint64 {
+	buf := hashBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := gob.NewEncoder(buf).Encode(k); err != nil {
+		panic(fmt.Sprintf("lib: unhashable key %T: %v", k, err))
+	}
+	h := mix64(fnv1a(buf.Bytes()))
+	hashBufs.Put(buf)
+	return h
+}
+
+var hashBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// fnv1a is 64-bit FNV-1a (hash/fnv's New64a), inlined so hashing a key
+// allocates neither a hasher nor a byte copy of a string.
+func fnv1a[B string | []byte](b B) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
+	}
+	return h
+}
+
+func hashString(s string) uint64 { return mix64(fnv1a(s)) }
 
 // mix64 is the splitmix64 finalizer: full-avalanche mixing so that modular
 // reduction over worker counts spreads sequential keys evenly.
@@ -48,6 +74,9 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// HashPair hashes a Pair by its key, the exchange function for keyed
-// operators.
-func HashPair[K comparable, V any](p Pair[K, V]) uint64 { return Hash(p.Key) }
+// pairHasher hashes a Pair by its key — the exchange function of keyed
+// operators — with the key's hash chosen once, at connector construction.
+func pairHasher[K comparable, V any]() func(Pair[K, V]) uint64 {
+	hk := hasherFor[K]()
+	return func(p Pair[K, V]) uint64 { return hk(p.Key) }
+}

@@ -36,8 +36,8 @@ func Join[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair[K, B]
 			},
 		}
 	})
-	connect(c, a.stage, a.port, st, HashPair[K, A], a.cod) // input 0
-	connect(c, b.stage, b.port, st, HashPair[K, B], b.cod) // input 1
+	connect(c, a.stage, a.port, st, pairHasher[K, A](), a.cod) // input 0
+	connect(c, b.stage, b.port, st, pairHasher[K, B](), b.cod) // input 1
 	return &Stream[R]{scope: a.scope, stage: st, port: 0, cod: orGob[R](cod), depth: a.depth}
 }
 
@@ -84,8 +84,8 @@ func JoinByTime[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair
 			send: func(m any, t ts.Timestamp) { ctx.SendBy(0, m, t) },
 		}
 	})
-	connect(c, a.stage, a.port, st, HashPair[K, A], a.cod)
-	connect(c, b.stage, b.port, st, HashPair[K, B], b.cod)
+	connect(c, a.stage, a.port, st, pairHasher[K, A](), a.cod)
+	connect(c, b.stage, b.port, st, pairHasher[K, B](), b.cod)
 	return &Stream[R]{scope: a.scope, stage: st, port: 0, cod: orGob[R](cod), depth: a.depth}
 }
 
@@ -152,6 +152,6 @@ func AggregateMonotonic[K comparable, V any](s *Stream[Pair[K, V]],
 			},
 		}
 	})
-	connect(c, s.stage, s.port, st, HashPair[K, V], s.cod)
+	connect(c, s.stage, s.port, st, pairHasher[K, V](), s.cod)
 	return &Stream[Pair[K, V]]{scope: s.scope, stage: st, port: 0, cod: s.cod, depth: s.depth}
 }

@@ -398,8 +398,9 @@ func TestHashFastPathsDiffer(t *testing.T) {
 }
 
 func TestHashPairUsesKeyOnly(t *testing.T) {
-	if HashPair(KV(int64(1), "x")) != HashPair(KV(int64(1), "y")) {
-		t.Fatal("HashPair must ignore the value")
+	h := pairHasher[int64, string]()
+	if h(KV(int64(1), "x")) != h(KV(int64(1), "y")) || h(KV(int64(1), "x")) != Hash(int64(1)) {
+		t.Fatal("the pair hash must be the key's hash, ignoring the value")
 	}
 }
 

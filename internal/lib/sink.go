@@ -2,6 +2,7 @@ package lib
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"sync"
 
@@ -213,21 +214,29 @@ type sealedBatch struct {
 // records arrive at the pinned vertex in a nondeterministic interleaving
 // across workers, so each record is encoded alone and the encodings are
 // sorted before concatenation. Two runs that deliver the same multiset of
-// records produce identical bytes.
+// records produce identical bytes. The encodings share one arena and the
+// sort moves only their spans.
 func canonicalBytes[T any](cod codec.Codec, recs []T) []byte {
-	encs := make([][]byte, len(recs))
-	var enc codec.Encoder
-	for i, r := range recs {
-		enc.Reset()
-		cod.EncodeBatch(&enc, []any{r})
-		encs[i] = append([]byte(nil), enc.Bytes()...)
+	type span struct{ lo, hi int }
+	var arena codec.Encoder
+	spans := make([]span, len(recs))
+	se, _ := cod.(codec.SliceEncoder[T])
+	for i := range recs {
+		lo := len(arena.Bytes())
+		if se != nil {
+			se.EncodeSlice(&arena, recs[i:i+1]) // typed: nothing is boxed
+		} else {
+			cod.EncodeBatch(&arena, []any{recs[i]})
+		}
+		spans[i] = span{lo, len(arena.Bytes())}
 	}
-	sort.Slice(encs, func(i, j int) bool { return bytes.Compare(encs[i], encs[j]) < 0 })
-	var out codec.Encoder
-	for _, e := range encs {
-		out.PutBytes(e)
+	buf := arena.Bytes()
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	out := codec.NewEncoder(len(buf) + 4*len(recs))
+	for _, sp := range spans {
+		out.PutBytes(buf[sp.lo:sp.hi])
 	}
-	return append([]byte(nil), out.Bytes()...)
+	return out.Bytes()
 }
 
 // DecodeSinkBatch decodes a canonical sink batch back into records — the

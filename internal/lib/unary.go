@@ -197,7 +197,7 @@ func Distinct[A comparable](s *Stream[A]) *Stream[A] {
 			},
 		}
 	})
-	connect(c, s.stage, s.port, st, Hash[A], s.cod)
+	connect(c, s.stage, s.port, st, hasherFor[A](), s.cod)
 	return &Stream[A]{scope: s.scope, stage: st, port: 0, cod: s.cod, depth: s.depth}
 }
 
@@ -237,7 +237,7 @@ func DistinctCumulative[A comparable](s *Stream[A]) *Stream[A] {
 			},
 		}
 	})
-	connect(c, s.stage, s.port, st, Hash[A], s.cod)
+	connect(c, s.stage, s.port, st, hasherFor[A](), s.cod)
 	return &Stream[A]{scope: s.scope, stage: st, port: 0, cod: s.cod, depth: s.depth}
 }
 

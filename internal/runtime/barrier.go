@@ -161,8 +161,10 @@ func newCutSnapshot(cut, epoch int64) *CutSnapshot {
 // cutVersion is the NSNP format version of an encoded CutSnapshot (version
 // 1 is EncodeSnapshot's stop-the-world format; both share the NSNP header).
 // Version 4 folded the pending-notification section into the one
-// obligations section; older cuts are refused with ErrCutVersion.
-const cutVersion = 4
+// obligations section. Version 5 has v4's layout, but its deferred channel
+// frames are in codec.Gob's flat form where v4 binaries wrote gob. Every
+// other version is refused with ErrCutVersion.
+const cutVersion = 5
 
 // ErrCutVersion is wrapped into UnmarshalCut's error for well-formed NSNP
 // bytes of any other format version — an older cut layout, or a

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"naiad/internal/batchbuf"
+	"naiad/internal/codec"
 	"naiad/internal/graph"
 	ts "naiad/internal/timestamp"
 )
@@ -152,6 +153,7 @@ func BenchmarkPipelineRecordsBoxed(b *testing.B) {
 // and bounds it per record. Per-epoch control traffic (mailbox items,
 // progress updates) amortizes across the 4096-record epochs.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
+	t.Run("exchange", exchangeSteadyStateAllocs)
 	cfg := Config{Processes: 1, WorkersPerProcess: 1, Accumulation: AccLocalGlobal}
 	c, err := NewComputation(cfg)
 	if err != nil {
@@ -204,6 +206,96 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		after.Mallocs-before.Mallocs, records, perRecord)
 	if perRecord > 0.1 {
 		t.Fatalf("typed pipeline allocates %.4f objects/record in steady state, want < 0.1", perRecord)
+	}
+}
+
+// exchRec is a flat record (codec.Gob compiles a plan for it), the shape of
+// lib.Pair[int64, int64].
+type exchRec struct{ Key, Val int64 }
+
+// exchKeyVertex turns an []int64 column into a pooled []exchRec column.
+type exchKeyVertex struct {
+	ctx  *Context
+	pool *batchbuf.Pool[exchRec]
+}
+
+func (v *exchKeyVertex) OnRecv(int, Message, ts.Timestamp) {
+	panic("boxed delivery on the typed plane")
+}
+func (v *exchKeyVertex) OnNotify(ts.Timestamp) {}
+
+func (v *exchKeyVertex) OnRecvBatch(_ int, b *Batch, t ts.Timestamp) {
+	data := b.Col().Slice().([]int64)
+	out, col := v.pool.Get(len(data))
+	for _, k := range data {
+		col.Data = append(col.Data, exchRec{Key: k, Val: 1})
+	}
+	v.ctx.SendBatchBy(0, out, t)
+}
+
+// exchangeSteadyStateAllocs is the same gate on the keyed-exchange path
+// with full serialisation: two processes on the in-memory transport, a
+// hash-partitioned connector with the default codec, so every batch is
+// scattered and half of every batch is encoded, framed, decoded into a
+// pooled column and delivered. Bytes, not objects: the bound is what the
+// end-to-end benchmark reports as batchbuf.alloc_b_per_rec (14.5 B with
+// gob on this path; the flat plan and the pooled decode leave well under 4).
+func exchangeSteadyStateAllocs(t *testing.T) {
+	c, err := NewComputation(Config{Processes: 2, WorkersPerProcess: 1, Accumulation: AccLocalGlobal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := c.NewInput("in")
+	key := c.AddStage("key", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+		return &exchKeyVertex{ctx: ctx, pool: batchbuf.PoolFor[exchRec]()}
+	})
+	c.Connect(in.Stage(), 0, key, nil, codec.Int64()) // local edge: the codec is never used
+	counts := make([]*batchCountVertex, 2)
+	snk := c.AddStage("count", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+		counts[ctx.Worker()] = &batchCountVertex{}
+		return counts[ctx.Worker()]
+	})
+	part, bpart := TypedPartitioner(func(r exchRec) uint64 { return uint64(r.Key) * 0x9e3779b97f4a7c15 >> 32 })
+	c.ConnectBatch(key, 0, snk, part, bpart, codec.Gob[exchRec]())
+	probe := c.NewProbe(snk)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pool := batchbuf.PoolFor[int64]()
+	const epochSize = 8192
+	send := func(epochs int) {
+		for e := 0; e < epochs; e++ {
+			bt, col := pool.Get(epochSize)
+			for i := 0; i < epochSize; i++ {
+				col.Data = append(col.Data, int64(i%256))
+			}
+			in.SendBatch(bt)
+			in.Advance()
+			if done := in.Epoch() - 5; done >= 0 {
+				probe.WaitFor(done) // a bounded window, as a real driver keeps
+			}
+		}
+		probe.WaitFor(in.Epoch() - 1)
+	}
+	send(16) // warm-up: pools fill, scratch and frame buffers grow
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const epochs = 128
+	send(epochs)
+	runtime.ReadMemStats(&after)
+
+	in.Close()
+	if err := c.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counts[0].count+counts[1].count, int64((16+epochs)*epochSize); got != want {
+		t.Fatalf("counted %d records, want %d", got, want)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(epochs*epochSize)
+	t.Logf("steady state: %.2f B allocated per record over %d records", perRecord, epochs*epochSize)
+	if perRecord > 4 && !raceEnabled {
+		t.Fatalf("keyed exchange allocates %.2f B/record in steady state, want <= 4", perRecord)
 	}
 }
 

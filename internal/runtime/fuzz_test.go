@@ -129,11 +129,26 @@ func FuzzBatchDecode(f *testing.F) {
 	dst := c.AddStage("dst", graph.RoleNormal, 0,
 		func(ctx *Context) Vertex { return &forwardVertex{ctx: ctx} })
 	c.Connect(src, 0, dst, nil, codec.Int64())
+	// Connectors 1 and 2 carry flat-plan types (codec.Gob's compiled codec,
+	// decoding into pooled columns); the frame's first field selects the
+	// connector, so the fuzzer reaches all three.
+	type strRec struct {
+		Key string
+		Val int64
+	}
+	c.Connect(src, 0, dst, nil, codec.Gob[exchRec]())
+	c.Connect(src, 0, dst, nil, codec.Gob[strRec]())
 	ci := c.conns[0]
 
 	valid := encodeData(ci, 0, 0, ts.Root(1).PushLoop().Tick(), []Message{int64(10), int64(-20), int64(1 << 40)})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
+	flat := encodeData(c.conns[1], 1, 0, ts.Root(3), []Message{exchRec{0, 1}, exchRec{-64, 1 << 40}, exchRec{255, -1}})
+	f.Add(flat)
+	f.Add(flat[:len(flat)-1])
+	strs := encodeData(c.conns[2], 0, 1, ts.Root(2).PushLoop(), []Message{strRec{"", 0}, strRec{"key", -7}})
+	f.Add(strs)
+	f.Add(strs[:len(strs)-3])
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -218,7 +233,7 @@ func withCutVersion(data []byte, v uint32) []byte {
 	return out
 }
 
-// TestCutRoundTripMixedObligations pins the v4 cut layout: every entry shape
+// TestCutRoundTripMixedObligations pins the v5 cut layout: every entry shape
 // of the one obligations section survives encode/decode, and bytes stamped
 // with an older version are refused with ErrCutVersion.
 func TestCutRoundTripMixedObligations(t *testing.T) {
@@ -231,7 +246,7 @@ func TestCutRoundTripMixedObligations(t *testing.T) {
 	if !reflect.DeepEqual(got, cut) {
 		t.Fatalf("cut round trip:\n got %+v\nwant %+v", got, cut)
 	}
-	for _, v := range []uint32{1, 2, 3, 5} {
+	for _, v := range []uint32{1, 2, 3, 4, 6} {
 		if _, err := UnmarshalCut(withCutVersion(data, v)); !errors.Is(err, ErrCutVersion) {
 			t.Errorf("version %d: got %v, want ErrCutVersion", v, err)
 		}
@@ -241,7 +256,7 @@ func TestCutRoundTripMixedObligations(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalCut corrupts serialized cut snapshots (the v4 NSNP format):
+// FuzzUnmarshalCut corrupts serialized cut snapshots (the v5 NSNP format):
 // bytes come off disk, so damage must surface as an error, never a panic,
 // accepted cuts must not have over-allocated from count fields, and whatever
 // is accepted must survive a re-encode round trip — revival trusts the
@@ -251,9 +266,9 @@ func FuzzUnmarshalCut(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:snapshotHeaderSize])
-	f.Add(withCutVersion(valid, 3))
+	f.Add(withCutVersion(valid, 4))
 	f.Add(EncodeCut(newCutSnapshot(1, 1)))
-	f.Add([]byte{0x50, 0x4e, 0x53, 0x4e, 4, 0, 0, 0, 0, 0, 0, 0, 255, 255})
+	f.Add([]byte{0x50, 0x4e, 0x53, 0x4e, 5, 0, 0, 0, 0, 0, 0, 0, 255, 255})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s *CutSnapshot

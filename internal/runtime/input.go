@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"naiad/internal/batchbuf"
@@ -19,7 +20,8 @@ type Input struct {
 	mu     sync.Mutex
 	epoch  int64
 	closed bool
-	rr     int // round-robin cursor for Send
+	rr     int      // round-robin cursor for Send
+	dsts   []uint32 // planSendBatch's destination scratch
 }
 
 // NewInput adds an input stage and returns its handle. Records introduced
@@ -76,8 +78,8 @@ func (in *Input) planSend(records []Message) ([][]Message, int64) {
 
 // SendBatch introduces a whole batch into the current epoch, consuming one
 // reference to b. With one worker the batch is handed over intact; with
-// several it is scattered record-by-record, continuing Send's round-robin
-// cursor, into per-worker builder batches of the same column type.
+// several it is scattered, continuing Send's round-robin cursor, into
+// per-worker builder batches of the same column type.
 func (in *Input) SendBatch(b *batchbuf.Batch) {
 	per, epoch := in.planSendBatch(b)
 	if per == nil {
@@ -107,16 +109,17 @@ func (in *Input) planSendBatch(b *batchbuf.Batch) ([]*batchbuf.Batch, int64) {
 	if workers == 1 {
 		return nil, in.epoch
 	}
-	n := b.Len()
-	per := make([]*batchbuf.Batch, workers)
-	for i := 0; i < n; i++ {
-		w := in.rr % workers
-		in.rr++
-		if per[w] == nil {
-			per[w] = b.NewLike((n + workers - 1) / workers)
+	in.dsts = slices.Grow(in.dsts[:0], b.Len())[:b.Len()]
+	w := in.rr % workers
+	for i := range in.dsts {
+		in.dsts[i] = uint32(w)
+		if w++; w == workers {
+			w = 0
 		}
-		per[w].AppendIndex(b, i)
 	}
+	in.rr += b.Len()
+	per := make([]*batchbuf.Batch, workers)
+	b.Scatter(in.dsts, per)
 	return per, in.epoch
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -143,17 +144,20 @@ type worker struct {
 	// produces (the old per-frame codec.NewEncoder with its undersized
 	// capacity guess was a steady allocation-and-grow tax on the hot path).
 	// scratchBox is the boxing spill for codecs without a typed column path;
-	// hashes is routeBatch's hash buffer (fully consumed before any delivery
-	// can recurse, so one buffer suffices). scatter is a STACK of
-	// per-destination builder tables indexed by scatterDepth: routeBatch's
-	// dispatch loop delivers synchronously and can re-enter routeBatch
-	// (feedback cycles, reentrant vertices), so each nesting level needs its
-	// own table — sharing one corrupts the outer call's pending builders.
+	// hashes and dsts are routeBatch's hash and destination buffers (fully
+	// consumed before any delivery can recurse, so one of each suffices).
+	// scatter is a STACK of per-destination builder tables indexed by
+	// scatterDepth: routeBatch's dispatch loop delivers synchronously and
+	// can re-enter routeBatch (feedback cycles, reentrant vertices), so each
+	// nesting level needs its own table — sharing one corrupts the outer
+	// call's pending builders.
 	frameEnc     *codec.Encoder
 	scratchBox   []Message
 	scatter      [][]*batchbuf.Batch
 	scatterDepth int
 	hashes       []uint64
+	dsts         []uint32
+	flushKeys    []outKey // flushData's key scratch
 
 	// Barrier-snapshot state (nil/zero unless a cut handler is installed).
 	// chanSent counts batches sent per (connector, dst vertex); chanRecv
@@ -860,34 +864,31 @@ func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch,
 		w.routeBatchTo(vsSrc.vertexIdx, ci, b, dstVertex, t)
 		return
 	}
-	// Vectorized exchange: hash the whole batch, then scatter. The hash
-	// buffer and builder table are worker scratch, reused across calls.
-	if cap(w.hashes) < n {
-		w.hashes = make([]uint64, n)
-	}
-	hashes := w.hashes[:n]
+	// Vectorized exchange: hash the whole batch, reduce the hashes to
+	// destinations, then scatter. The hash and destination buffers and the
+	// builder table are worker scratch, reused across calls.
+	w.hashes, w.dsts = slices.Grow(w.hashes[:0], n)[:n], slices.Grow(w.dsts[:0], n)[:n]
+	hashes, dsts := w.hashes, w.dsts
 	if ci.bpart == nil || !ci.bpart(b.Col().Slice(), hashes) {
 		for i := 0; i < n; i++ {
 			hashes[i] = ci.part(b.Record(i))
 		}
 	}
-	depth := w.scatterDepth
-	if depth == len(w.scatter) {
+	if mask := uint64(peers - 1); uint64(peers)&mask == 0 {
+		for i, h := range hashes {
+			dsts[i] = uint32(h & mask) // == h % peers
+		}
+	} else {
+		for i, h := range hashes {
+			dsts[i] = uint32(h % uint64(peers))
+		}
+	}
+	if w.scatterDepth == len(w.scatter) {
 		w.scatter = append(w.scatter, nil)
 	}
-	if cap(w.scatter[depth]) < peers {
-		w.scatter[depth] = make([]*batchbuf.Batch, peers)
-	}
-	subs := w.scatter[depth][:peers]
-	for i := 0; i < n; i++ {
-		dv := int(hashes[i] % uint64(peers))
-		sub := subs[dv]
-		if sub == nil {
-			sub = b.NewLike(n)
-			subs[dv] = sub
-		}
-		sub.AppendIndex(b, i)
-	}
+	subs := slices.Grow(w.scatter[w.scatterDepth][:0], peers)[:peers] // all nil between calls
+	w.scatter[w.scatterDepth] = subs
+	b.Scatter(dsts, subs)
 	b.Release()
 	// Dispatch under a bumped depth: a synchronous delivery below may
 	// re-enter routeBatch, which must not reuse this level's table.
@@ -1070,25 +1071,19 @@ func (w *worker) flushOne(key outKey) {
 
 // flushData sends all pending outgoing batches in a deterministic order.
 func (w *worker) flushData() {
-	if len(w.outBatch) == 0 {
-		return
-	}
-	keys := make([]outKey, 0, len(w.outBatch))
+	keys := w.flushKeys[:0]
 	for k := range w.outBatch {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].conn != keys[j].conn {
-			return keys[i].conn < keys[j].conn
-		}
-		if keys[i].dstWorker != keys[j].dstWorker {
-			return keys[i].dstWorker < keys[j].dstWorker
-		}
-		return keys[i].time.Compare(keys[j].time) < 0
-	})
+	if len(keys) > 1 {
+		slices.SortFunc(keys, func(a, b outKey) int {
+			return cmp.Or(cmp.Compare(a.conn, b.conn), cmp.Compare(a.dstWorker, b.dstWorker), a.time.Compare(b.time))
+		})
+	}
 	for _, k := range keys {
 		w.flushOne(k)
 	}
+	w.flushKeys = keys
 }
 
 // postUpdate records a progress update for the next flush. Occurrence

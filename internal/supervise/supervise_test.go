@@ -482,10 +482,12 @@ func TestSupervisorGivesUp(t *testing.T) {
 func TestSupervisorFallsBackPastCorruptSnapshot(t *testing.T) {
 	damage := map[string]func(*testing.T, []byte){
 		"bit rot": func(_ *testing.T, data []byte) { data[len(data)-1] ^= 0x40 },
-		"cut version 3": func(t *testing.T, data []byte) {
-			binary.LittleEndian.PutUint32(data[4:8], 3) // the checksum covers the body only
+		// v4: the last layout-identical version, whose channel frames a
+		// pre-flat-codec binary wrote in gob.
+		"cut version 4": func(t *testing.T, data []byte) {
+			binary.LittleEndian.PutUint32(data[4:8], 4) // the checksum covers the body only
 			if _, err := runtime.UnmarshalCut(data); !errors.Is(err, runtime.ErrCutVersion) {
-				t.Fatalf("v3 cut bytes: got %v, want ErrCutVersion", err)
+				t.Fatalf("v4 cut bytes: got %v, want ErrCutVersion", err)
 			}
 		},
 	}
