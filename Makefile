@@ -27,9 +27,12 @@ cover:
 # docs/static-analysis.md). govulncheck is best-effort: it is not part of
 # the toolchain and needs network access for the vuln database. The unsafe
 # fence: internal/codec/flat.go (the compiled flat codec) is the one
-# non-test file allowed to import "unsafe".
+# non-test file allowed to import "unsafe". Every Go file must be
+# gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "$$unformatted" >&2; echo 'vet: files above are not gofmt-formatted (run gofmt -w)' >&2; exit 1; fi
 	@if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '^\(import \)\?[[:space:]]*"unsafe"' . | grep -vx './internal/codec/flat.go'; then \
 		echo 'vet: only internal/codec/flat.go may import "unsafe" (files above)' >&2; exit 1; fi
 	@$(GO) build -o /dev/null ./cmd/naiad-vet || { \

@@ -86,6 +86,20 @@ func (b *Batch) Record(i int) any { return b.col.Record(i) }
 // Col returns the batch's column.
 func (b *Batch) Col() Column { return b.col }
 
+// Data returns b's records as a []T when its column is a Col[T] — the typed
+// receive arm's one type assertion, without boxing a slice header the way
+// Col().Slice() does.
+func Data[T any](b *Batch) ([]T, bool) {
+	if c, ok := b.col.(*Col[T]); ok {
+		return c.Data, true
+	}
+	return nil, false
+}
+
+// Shared reports whether b has holders besides the caller's one reference:
+// a builder that appends to b must copy it first.
+func (b *Batch) Shared() bool { return b.refs.Load() > 1 }
+
 // Retain adds a reference and returns the batch, for chaining into a
 // consuming call: ctx.SendBatchBy(0, b.Retain(), t).
 func (b *Batch) Retain() *Batch {
@@ -346,6 +360,23 @@ func PoolFor[T any]() *Pool[T] {
 	p, _ := typePools.LoadOrStore(key, NewPool[T]())
 	return p.(*Pool[T])
 }
+
+// Arena is the home of one column type's batches, resolved once from a
+// sample record so later batches skip the registry lookup. The zero Arena
+// is unresolved.
+type Arena struct{ p pool }
+
+// ArenaFor resolves the arena for records of v's dynamic type: the typed
+// pool a PoolFor call registered for it, else the boxed arena.
+func ArenaFor(v any) Arena {
+	if p, ok := typePools.Load(reflect.TypeOf(v)); ok {
+		return Arena{p.(pool)}
+	}
+	return Arena{boxedPool}
+}
+
+// Get returns an empty batch from the arena with one reference.
+func (a Arena) Get(capacity int) *Batch { return a.p.newLike(capacity) }
 
 // boxedPool is the arena of boxed batches used by untyped paths.
 var boxedPool = newBoxedPool()

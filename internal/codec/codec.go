@@ -291,4 +291,3 @@ func String() Codec {
 		func(d *Decoder) string { return d.String() },
 	)
 }
-

@@ -1,6 +1,7 @@
 package lib
 
 import (
+	"naiad/internal/batchbuf"
 	"naiad/internal/codec"
 	"naiad/internal/graph"
 	"naiad/internal/runtime"
@@ -109,14 +110,14 @@ func (v *joinVertex[K, A, B]) OnRecv(input int, msg runtime.Message, t ts.Timest
 // boxed or foreign columns fall back to per-record dispatch.
 func (v *joinVertex[K, A, B]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
 	if input == 0 {
-		if data, ok := b.Col().Slice().([]Pair[K, A]); ok {
+		if data, ok := batchbuf.Data[Pair[K, A]](b); ok {
 			for _, rec := range data {
 				v.onLeft(rec, t)
 			}
 			return
 		}
 	} else {
-		if data, ok := b.Col().Slice().([]Pair[K, B]); ok {
+		if data, ok := batchbuf.Data[Pair[K, B]](b); ok {
 			for _, rec := range data {
 				v.onRight(rec, t)
 			}

@@ -152,7 +152,7 @@ func (v *vertexOf[T]) OnRecv(input int, msg runtime.Message, t ts.Timestamp) {
 // []T column directly; boxed or foreign columns fall back to per-record
 // assertion.
 func (v *vertexOf[T]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
-	if data, ok := b.Col().Slice().([]T); ok {
+	if data, ok := batchbuf.Data[T](b); ok {
 		for _, rec := range data {
 			v.recv(input, rec, t)
 		}
@@ -174,7 +174,7 @@ type batchVertexOf[T any] struct {
 
 func (v *batchVertexOf[T]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
 	if v.recvBatch != nil {
-		if data, ok := b.Col().Slice().([]T); ok {
+		if data, ok := batchbuf.Data[T](b); ok {
 			v.recvBatch(input, data, b, t)
 			return
 		}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -142,6 +143,69 @@ func BenchmarkPipelineRecordsBoxed(b *testing.B) {
 	in.Close()
 	if err := c.Join(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// fanVertex emits k records per input record through SendBy, all at the
+// callback's time: one send session per callback.
+type fanVertex struct {
+	ctx *Context
+	k   int
+}
+
+func (v *fanVertex) OnRecv(_ int, msg Message, t ts.Timestamp) {
+	x := msg.(int64)
+	for i := 0; i < v.k; i++ {
+		v.ctx.SendBy(0, x+int64(i), t)
+	}
+}
+
+func (v *fanVertex) OnNotify(ts.Timestamp) {}
+
+// BenchmarkSendSession is the send-session cost by session size: records
+// enter one at a time (as in BenchmarkPipelineRecordsBoxed), a callback
+// emits k ∈ {1, 4, 64} int64 records per input record — a typed session,
+// int64 having a registered pool — and a batch receiver counts them.
+// ns/op is per input record; k = 1 is the one-record session.
+func BenchmarkSendSession(b *testing.B) {
+	batchbuf.PoolFor[int64]()
+	for _, k := range []int{1, 4, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			c, err := NewComputation(Config{Processes: 1, WorkersPerProcess: 1, Accumulation: AccLocalGlobal})
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := c.NewInput("in")
+			fan := c.AddStage("fan", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+				return &fanVertex{ctx: ctx, k: k}
+			})
+			c.Connect(in.Stage(), 0, fan, nil, nil)
+			cv := &batchCountVertex{}
+			snk := c.AddStage("count", graph.RoleNormal, 0, func(*Context) Vertex { return cv })
+			c.Connect(fan, 0, snk, nil, nil)
+			if err := c.Start(); err != nil {
+				b.Fatal(err)
+			}
+			const epochSize = 4096
+			b.ResetTimer()
+			for sent := 0; sent < b.N; {
+				n := min(epochSize, b.N-sent)
+				recs := make([]Message, n)
+				for i := range recs {
+					recs[i] = int64(i)
+				}
+				in.OnNext(recs...)
+				sent += n
+			}
+			in.Close()
+			if err := c.Join(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if want := int64(b.N * k); cv.count != want {
+				b.Fatalf("counted %d records, want %d", cv.count, want)
+			}
+		})
 	}
 }
 

@@ -122,15 +122,19 @@ func (hc *Capability) Time() ts.Timestamp { return hc.pc.Time() }
 func (hc *Capability) Dropped() bool { return hc.pc.Dropped() }
 
 // Downgrade moves the capability forward to time t (≥ its current time),
-// relinquishing the right to act at earlier times. Worker-thread only.
+// relinquishing the right to act at earlier times. The vertex's open send
+// sessions leave first: their +n must precede the -1. Worker-thread only.
 func (hc *Capability) Downgrade(t ts.Timestamp) {
+	hc.w.flushSessions(hc.w.vertices[hc.stage])
 	_, cur := hc.current("Downgrade")
 	cur.pc.Downgrade(t)
 }
 
-// Drop retires the capability synchronously. Worker-thread only; dropping a
+// Drop retires the capability synchronously, after the vertex's open send
+// sessions leave (as for Downgrade). Worker-thread only; dropping a
 // capability twice panics (use DropAsync from racy paths — it is idempotent).
 func (hc *Capability) Drop() {
+	hc.w.flushSessions(hc.w.vertices[hc.stage])
 	i, cur := hc.current("Drop")
 	hc.w.vertices[hc.stage].retire(i)
 	cur.pc.Drop()

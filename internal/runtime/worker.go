@@ -68,6 +68,19 @@ type vertexState struct {
 	barrierDefer []delivery
 	barrierEpoch int64
 	barrierT0    int64
+
+	// Open send sessions from sessHead on, and each port's builder arena.
+	sessions []session
+	sessHead int
+	arenas   []batchbuf.Arena
+}
+
+// session is the records a vertex's callbacks sent on one port at one time.
+type session struct {
+	port, n int // n records
+	t       ts.Timestamp
+	one     Message         // the first record; stale once b is open
+	b       *batchbuf.Batch // nil while the session holds one record
 }
 
 // outKey identifies one pending outgoing batch.
@@ -319,7 +332,7 @@ func (w *worker) buildVertices() {
 		default:
 			idx = w.id
 		}
-		vs := &vertexState{si: si, vertexIdx: idx}
+		vs := &vertexState{si: si, vertexIdx: idx, arenas: make([]batchbuf.Arena, si.numPorts)}
 		vs.ctx = &Context{w: w, vs: vs, index: idx, peers: si.parallelism(c.cfg.Workers())}
 		if si.factory != nil {
 			vs.vertex = si.factory(vs.ctx)
@@ -561,7 +574,8 @@ func (w *worker) deliverBatch(d delivery) {
 // record one when b is nil (the boxed per-record fast path, which builds no
 // batch). A batch goes through the BatchVertex fast path when the vertex has
 // one, otherwise one OnRecv per record. Either way the delivery costs one
-// activity bump and one time-stack frame. The batch is borrowed — the caller
+// activity bump and one time-stack frame; the vertex's open send sessions
+// flush before the callback's re-entrancy count drops. The batch is borrowed — the caller
 // keeps its reference.
 func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, one Message, t ts.Timestamp) {
 	n := 1
@@ -585,6 +599,7 @@ func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, one Mess
 			vs.vertex.OnRecv(input, b.Record(i), t)
 		}
 	}
+	w.flushSessions(vs)
 	if tr != nil {
 		tr.CallbackN(w.id, int32(vs.si.id), t.Epoch, false, time.Duration(tr.Now()-t0), int64(n))
 	}
@@ -724,7 +739,8 @@ func (w *worker) deliverOneNotify() bool {
 // notify runs OnNotify for table entry i of vs — the only place that
 // happens, for live delivery and log replay alike. The entry leaves the
 // table first; the callback runs at the entry's capability time (a purge
-// notification has none and may not send); the token drops when it returns.
+// notification has none and may not send); when it returns, the vertex's
+// sessions flush and then the token drops.
 func (w *worker) notify(vs *vertexState, i int) {
 	hc := vs.heldCaps[i]
 	vs.retire(i)
@@ -741,6 +757,7 @@ func (w *worker) notify(vs *vertexState, i int) {
 		t0 = tr.Now()
 	}
 	vs.vertex.OnNotify(hc.guarantee)
+	w.flushSessions(vs)
 	if tr != nil {
 		tr.Callback(w.id, int32(vs.si.id), hc.guarantee.Epoch, true, time.Duration(tr.Now()-t0))
 	}
@@ -751,55 +768,41 @@ func (w *worker) notify(vs *vertexState, i int) {
 	}
 }
 
-// sendBy implements Context.SendBy: timestamp adjustment for structural
-// stages, occurrence-count updates, routing, and the synchronous local
-// fast path with re-entrancy bounding (§3.2).
+// sendBy implements Context.SendBy: inside a callback of vs the record joins
+// a send session, outside one (the input feed, a Capability.SendBy while the
+// vertex is not running) it is routed on its own.
 func (w *worker) sendBy(vs *vertexState, port int, msg Message, t ts.Timestamp) {
 	if w.replaying {
 		// Replay reconstructs state only: every send of the original
 		// execution was already delivered (and logged at its receiver).
 		return
 	}
-	si := vs.si
-	if n := len(vs.timeStack); n > 0 {
-		top := vs.timeStack[n-1]
-		if !top.canSend {
-			panic(fmt.Sprintf("runtime: %s sent a message from a purge notification", si.name))
-		}
-		if !top.t.LessEq(t) {
-			panic(fmt.Sprintf("runtime: %s sent backwards in time: %v < callback time %v", si.name, t, top.t))
-		}
-	}
-	if port < 0 || port >= si.numPorts {
-		panic(fmt.Sprintf("runtime: stage %s: SendBy on invalid port %d", si.name, port))
-	}
-	outT := t
-	switch si.role {
-	case graph.RoleIngress:
-		outT = t.PushLoop()
-	case graph.RoleEgress:
-		outT = t.PopLoop()
-	case graph.RoleFeedback:
-		outT = t.Tick()
-		if si.hasMaxIter && outT.Inner() >= si.maxIter {
-			return // iteration bound reached; drop the message
-		}
-	}
-	for _, cid := range si.outPorts[port] {
-		w.routeMessage(vs, w.comp.conn(cid), msg, outT)
+	w.checkSend(vs, port, t)
+	if vs.ctx.executing > 0 {
+		w.sessionAppend(vs, port, msg, t)
+	} else {
+		w.emit(vs, port, t, msg, nil)
 	}
 }
 
-// sendBatchBy implements Context.SendBatchBy: sendBy's checks and timestamp
-// actions at whole-batch granularity. It consumes one reference to b.
+// sendBatchBy implements Context.SendBatchBy, consuming one reference to b,
+// after the vertex's open sessions: a port's records leave in call order.
 func (w *worker) sendBatchBy(vs *vertexState, port int, b *batchbuf.Batch, t ts.Timestamp) {
 	if w.replaying {
 		b.Release() // the original execution already delivered this send
 		return
 	}
+	w.checkSend(vs, port, t)
+	w.flushSessions(vs)
+	w.emit(vs, port, t, nil, b)
+}
+
+// checkSend enforces the sending contract: not from a purge notification,
+// not before the callback's time (§2.2), on a port the stage has.
+func (w *worker) checkSend(vs *vertexState, port int, t ts.Timestamp) {
 	si := vs.si
 	if n := len(vs.timeStack); n > 0 {
-		top := vs.timeStack[n-1]
+		top := &vs.timeStack[n-1]
 		if !top.canSend {
 			panic(fmt.Sprintf("runtime: %s sent a message from a purge notification", si.name))
 		}
@@ -810,20 +813,29 @@ func (w *worker) sendBatchBy(vs *vertexState, port int, b *batchbuf.Batch, t ts.
 	if port < 0 || port >= si.numPorts {
 		panic(fmt.Sprintf("runtime: stage %s: SendBy on invalid port %d", si.name, port))
 	}
-	outT := t
+}
+
+// emit applies the stage's timestamp action to a send on port at t and
+// routes it over every connector of the port: batch b, consuming its
+// reference, or the single record one when b is nil.
+func (w *worker) emit(vs *vertexState, port int, t ts.Timestamp, one Message, b *batchbuf.Batch) {
+	si, conns := vs.si, vs.si.outPorts[port]
 	switch si.role {
 	case graph.RoleIngress:
-		outT = t.PushLoop()
+		t = t.PushLoop()
 	case graph.RoleEgress:
-		outT = t.PopLoop()
+		t = t.PopLoop()
 	case graph.RoleFeedback:
-		outT = t.Tick()
-		if si.hasMaxIter && outT.Inner() >= si.maxIter {
-			b.Release() // iteration bound reached; drop the batch
-			return
+		if t = t.Tick(); si.hasMaxIter && t.Inner() >= si.maxIter {
+			conns = nil // iteration bound reached: the send goes nowhere
 		}
 	}
-	conns := si.outPorts[port]
+	if b == nil {
+		for _, cid := range conns {
+			w.routeMessage(vs, w.comp.conn(cid), one, t)
+		}
+		return
+	}
 	if len(conns) == 0 {
 		b.Release()
 		return
@@ -834,8 +846,91 @@ func (w *worker) sendBatchBy(vs *vertexState, port int, b *batchbuf.Batch, t ts.
 		b.Retain()
 	}
 	for _, cid := range conns {
-		w.routeBatch(vs, w.comp.conn(cid), b, outT)
+		w.routeBatch(vs, w.comp.conn(cid), b, t)
 	}
+}
+
+// sessionAppend adds msg to vs's open session for (port, t), opening one if
+// there is none; a full session first flushes every session. A session
+// holds its first record inline; a second moves both into a builder from
+// the port's arena, typed when the record's type has a registered pool.
+func (w *worker) sessionAppend(vs *vertexState, port int, msg Message, t ts.Timestamp) {
+	i := len(vs.sessions) - 1
+	for i >= vs.sessHead && (vs.sessions[i].port != port || vs.sessions[i].t != t) {
+		i--
+	}
+	if i >= vs.sessHead && vs.sessions[i].n >= w.comp.cfg.batchSize() {
+		w.flushSessions(vs)
+		i = -1
+	}
+	if i < vs.sessHead {
+		if len(vs.si.outPorts[port]) == 0 {
+			return
+		}
+		// Reuse the slot in place (flushOpen cleared its builder): zeroing
+		// it would cost GC write barriers on every send.
+		n := len(vs.sessions)
+		if n == cap(vs.sessions) {
+			vs.sessions = append(vs.sessions, session{})
+		}
+		vs.sessions = vs.sessions[:n+1]
+		s := &vs.sessions[n]
+		s.port, s.t, s.n, s.one = port, t, 1, msg
+		return
+	}
+	s := &vs.sessions[i]
+	if s.b == nil {
+		if vs.arenas[port] == (batchbuf.Arena{}) {
+			vs.arenas[port] = batchbuf.ArenaFor(s.one)
+		}
+		s.b = vs.arenas[port].Get(2)
+		vs.push(s, s.one)
+	}
+	vs.push(s, msg)
+	s.n++
+}
+
+// push appends msg to session s's builder, widening a typed one that cannot
+// hold it; the port's later sessions then start boxed.
+func (vs *vertexState) push(s *session, msg Message) {
+	if !s.b.Append(msg) {
+		s.b = widen(s.b, 1)
+		s.b.Append(msg)
+		vs.arenas[s.port] = batchbuf.ArenaFor(nil)
+	}
+}
+
+// flushSessions routes every open session of vs, oldest first. It runs when
+// a callback returns (before its re-entrancy count drops), when a session is
+// full, and before a SendBatchBy or a Capability.Drop/Downgrade of the
+// vertex: every +n a session posts precedes the -1 retiring its authority.
+func (w *worker) flushSessions(vs *vertexState) {
+	if len(vs.sessions) > 0 {
+		w.flushOpen(vs)
+	}
+}
+
+// flushOpen is flushSessions' loop. A session leaves the list before it is
+// routed; a re-entrant callback of vs opens its own and continues the loop.
+func (w *worker) flushOpen(vs *vertexState) {
+	for vs.sessHead < len(vs.sessions) {
+		s := &vs.sessions[vs.sessHead]
+		port, t, one, b := s.port, s.t, s.one, s.b
+		if b != nil {
+			s.b = nil // one stays: a store costs a GC write barrier
+		}
+		vs.sessHead++
+		w.emit(vs, port, t, one, b)
+	}
+	vs.sessions, vs.sessHead = vs.sessions[:0], 0
+}
+
+// widen replaces a typed builder that met a foreign record by a boxed copy.
+func widen(cur *batchbuf.Batch, extra int) *batchbuf.Batch {
+	wide := batchbuf.GetBoxed(cur.Len() + extra)
+	wide.AppendBatch(cur)
+	cur.Release()
+	return wide
 }
 
 // routeBatch routes a whole batch on one connector, consuming one reference
@@ -930,26 +1025,39 @@ func (w *worker) routeBatchTo(src int, ci *connInfo, b *batchbuf.Batch, dstVerte
 		return
 	}
 	key := outKey{conn: ci.id, dstWorker: dstWorker, time: t}
-	if cur, ok := w.outBatch[key]; ok {
-		if !cur.AppendBatch(b) {
-			// Mixed record types on one connector: widen the builder to boxed.
-			wide := batchbuf.GetBoxed(cur.Len() + b.Len())
-			wide.AppendBatch(cur)
-			cur.Release()
-			wide.AppendBatch(b)
-			w.outBatch[key] = wide
-			cur = wide
-		}
-		b.Release()
-		if cur.Len() >= w.comp.cfg.batchSize() {
+	cur, ok := w.outBatch[key]
+	if !ok {
+		w.outBatch[key] = b // adopted; appendable copies it if still shared
+		if b.Len() >= w.comp.cfg.batchSize() {
 			w.flushOne(key)
 		}
 		return
 	}
-	w.outBatch[key] = b // builder adopts the reference
-	if b.Len() >= w.comp.cfg.batchSize() {
+	cur = w.appendable(key, cur, b.Len())
+	if !cur.AppendBatch(b) {
+		// Mixed record types on one connector: widen the builder to boxed.
+		cur = widen(cur, b.Len())
+		cur.AppendBatch(b)
+		w.outBatch[key] = cur
+	}
+	b.Release()
+	if cur.Len() >= w.comp.cfg.batchSize() {
 		w.flushOne(key)
 	}
+}
+
+// appendable readies the builder for key to take n more records: one that
+// adopted a batch others still read (a fan-out share, a forwarded batch) is
+// replaced by a private copy, since appending would change what they read.
+func (w *worker) appendable(key outKey, cur *batchbuf.Batch, n int) *batchbuf.Batch {
+	if !cur.Shared() {
+		return cur
+	}
+	own := cur.NewLike(cur.Len() + n)
+	own.AppendBatch(cur)
+	cur.Release()
+	w.outBatch[key] = own
+	return own
 }
 
 // fastPathOpen reports whether a local delivery to vsDst at time t may run
@@ -1012,21 +1120,25 @@ func (w *worker) routeMessage(vsSrc *vertexState, ci *connInfo, msg Message, t t
 		}
 		return
 	}
-	key := outKey{conn: ci.id, dstWorker: dstWorker, time: t}
+	w.appendOut(outKey{conn: ci.id, dstWorker: dstWorker, time: t}, msg)
+}
+
+// appendOut adds msg to the pending outgoing builder for key.
+func (w *worker) appendOut(key outKey, msg Message) {
 	bld, ok := w.outBatch[key]
 	if !ok {
-		bld = batchbuf.GetBoxed(w.comp.cfg.batchSize())
+		// Typed when the record's type has a pool: batches append unboxed.
+		bld = batchbuf.ArenaFor(msg).Get(w.comp.cfg.batchSize())
 		w.outBatch[key] = bld
+	} else {
+		bld = w.appendable(key, bld, 1)
 	}
 	if !bld.Append(msg) {
 		// A typed builder (installed by a batch send) met a foreign boxed
 		// record: widen to a boxed builder.
-		wide := batchbuf.GetBoxed(bld.Len() + 1)
-		wide.AppendBatch(bld)
-		bld.Release()
-		wide.Append(msg)
-		w.outBatch[key] = wide
-		bld = wide
+		bld = widen(bld, 1)
+		bld.Append(msg)
+		w.outBatch[key] = bld
 	}
 	if bld.Len() >= w.comp.cfg.batchSize() {
 		w.flushOne(key)
