@@ -46,15 +46,17 @@ func batchMapStage(c *Computation, name string, f func(int64) int64) StageID {
 	})
 }
 
-// batchCountVertex counts records batch-at-a-time.
+// batchCountVertex counts records batch-at-a-time, and the deliveries they
+// arrived in.
 type batchCountVertex struct {
-	count int64
+	count, deliveries int64
 }
 
-func (v *batchCountVertex) OnRecv(_ int, _ Message, _ ts.Timestamp) { v.count++ }
+func (v *batchCountVertex) OnRecv(_ int, _ Message, _ ts.Timestamp) { v.count++; v.deliveries++ }
 
 func (v *batchCountVertex) OnRecvBatch(_ int, b *Batch, _ ts.Timestamp) {
 	v.count += int64(b.Len())
+	v.deliveries++
 }
 
 func (v *batchCountVertex) OnNotify(ts.Timestamp) {}
@@ -108,41 +110,79 @@ func BenchmarkPipelineRecords(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineRecordsBoxed is the same pipeline driven record-at-a-time
-// through the boxed compatibility path ([]Message input, per-record OnRecv),
-// kept as the reference point the typed plane is measured against.
+// splitVertex hands each record of a batch on as its own one-record batch,
+// so the next stage runs one callback per record.
+type splitVertex struct {
+	ctx  *Context
+	pool *batchbuf.Pool[int64]
+}
+
+func (v *splitVertex) OnRecv(int, Message, ts.Timestamp) { panic("split: boxed delivery") }
+func (v *splitVertex) OnNotify(ts.Timestamp)             {}
+
+func (v *splitVertex) OnRecvBatch(_ int, b *Batch, t ts.Timestamp) {
+	for _, x := range b.Col().Slice().([]int64) {
+		one, col := v.pool.Get(1)
+		col.Data = append(col.Data, x)
+		v.ctx.SendBatchBy(0, one, t)
+	}
+}
+
+// oneByOne adds an input and a split stage behind it: the returned stage
+// delivers every input record in a callback of its own.
+func oneByOne(c *Computation) (*Input, StageID) {
+	in := c.NewInput("in")
+	split := c.AddStage("split", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+		return &splitVertex{ctx: ctx, pool: batchbuf.PoolFor[int64]()}
+	})
+	c.Connect(in.Stage(), 0, split, nil, nil)
+	return in, split
+}
+
+// feedOneByOne drives n records through oneByOne's input in 4096-record
+// epochs. The records enter as typed batches, so what is measured is the
+// per-record callbacks after split, not the input path.
+func feedOneByOne(in *Input, n int) {
+	pool := batchbuf.PoolFor[int64]()
+	for sent := 0; sent < n; {
+		k := min(4096, n-sent)
+		bt, col := pool.Get(k)
+		for i := 0; i < k; i++ {
+			col.Data = append(col.Data, int64(i))
+		}
+		in.SendBatch(bt)
+		in.Advance()
+		sent += k
+	}
+}
+
+// BenchmarkPipelineRecordsBoxed is the boxed compatibility path record-at-a-
+// time: each record reaches the map stage in its own callback (per-record
+// OnRecv), and the map's SendBy leaves as a one-record session. The
+// receiver must see exactly one one-record delivery per record.
 func BenchmarkPipelineRecordsBoxed(b *testing.B) {
-	cfg := Config{Processes: 1, WorkersPerProcess: 1, Accumulation: AccLocalGlobal}
-	c, err := NewComputation(cfg)
+	c, err := NewComputation(Config{Processes: 1, WorkersPerProcess: 1, Accumulation: AccLocalGlobal})
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := c.NewInput("in")
+	in, split := oneByOne(c)
 	m := mapStage(c, "map", func(v int64) int64 { return v + 1 })
-	c.Connect(in.Stage(), 0, m, nil, nil)
-	s := newSink()
-	snk := sinkStage(c, s, "sink")
+	c.Connect(split, 0, m, nil, nil)
+	cv := &batchCountVertex{}
+	snk := c.AddStage("sink", graph.RoleNormal, 0, func(*Context) Vertex { return cv }, Pinned(0))
 	c.Connect(m, 0, snk, nil, nil)
 	if err := c.Start(); err != nil {
 		b.Fatal(err)
 	}
-	const epochSize = 4096
 	b.ResetTimer()
-	for sent := 0; sent < b.N; {
-		n := epochSize
-		if b.N-sent < n {
-			n = b.N - sent
-		}
-		recs := make([]Message, n)
-		for i := range recs {
-			recs[i] = int64(i)
-		}
-		in.OnNext(recs...)
-		sent += n
-	}
+	feedOneByOne(in, b.N)
 	in.Close()
 	if err := c.Join(); err != nil {
 		b.Fatal(err)
+	}
+	b.StopTimer()
+	if cv.count != int64(b.N) || cv.deliveries != int64(b.N) {
+		b.Fatalf("sink saw %d records in %d deliveries, want %d one-record deliveries", cv.count, cv.deliveries, b.N)
 	}
 }
 
@@ -162,11 +202,12 @@ func (v *fanVertex) OnRecv(_ int, msg Message, t ts.Timestamp) {
 
 func (v *fanVertex) OnNotify(ts.Timestamp) {}
 
-// BenchmarkSendSession is the send-session cost by session size: records
-// enter one at a time (as in BenchmarkPipelineRecordsBoxed), a callback
-// emits k ∈ {1, 4, 64} int64 records per input record — a typed session,
-// int64 having a registered pool — and a batch receiver counts them.
-// ns/op is per input record; k = 1 is the one-record session.
+// BenchmarkSendSession is the send-session cost by session size: each
+// record reaches the fan stage in its own callback (as in
+// BenchmarkPipelineRecordsBoxed), which emits k ∈ {1, 4, 64} int64 records
+// — a typed session, int64 having a registered pool — and a batch receiver
+// counts them, one delivery per session. ns/op is per input record; k = 1
+// is the one-record session.
 func BenchmarkSendSession(b *testing.B) {
 	batchbuf.PoolFor[int64]()
 	for _, k := range []int{1, 4, 64} {
@@ -175,37 +216,67 @@ func BenchmarkSendSession(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := c.NewInput("in")
+			in, split := oneByOne(c)
 			fan := c.AddStage("fan", graph.RoleNormal, 0, func(ctx *Context) Vertex {
 				return &fanVertex{ctx: ctx, k: k}
 			})
-			c.Connect(in.Stage(), 0, fan, nil, nil)
+			c.Connect(split, 0, fan, nil, nil)
 			cv := &batchCountVertex{}
 			snk := c.AddStage("count", graph.RoleNormal, 0, func(*Context) Vertex { return cv })
 			c.Connect(fan, 0, snk, nil, nil)
 			if err := c.Start(); err != nil {
 				b.Fatal(err)
 			}
-			const epochSize = 4096
 			b.ResetTimer()
-			for sent := 0; sent < b.N; {
-				n := min(epochSize, b.N-sent)
-				recs := make([]Message, n)
-				for i := range recs {
-					recs[i] = int64(i)
-				}
-				in.OnNext(recs...)
-				sent += n
-			}
+			feedOneByOne(in, b.N)
 			in.Close()
 			if err := c.Join(); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			if want := int64(b.N * k); cv.count != want {
-				b.Fatalf("counted %d records, want %d", cv.count, want)
+			if want := int64(b.N * k); cv.count != want || cv.deliveries != int64(b.N) {
+				b.Fatalf("counted %d records in %d deliveries, want %d in %d", cv.count, cv.deliveries, want, b.N)
 			}
 		})
+	}
+}
+
+// BenchmarkInputSendBoxed is the boxed input path whole: 4096 boxed int64
+// per OnNext on two workers, through a per-record map and a hash exchange
+// into a batch counter. ns/op is per input record.
+func BenchmarkInputSendBoxed(b *testing.B) {
+	batchbuf.PoolFor[int64]()
+	c, err := NewComputation(Config{Processes: 1, WorkersPerProcess: 2, Accumulation: AccLocalGlobal})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := c.NewInput("in")
+	m := mapStage(c, "map", func(v int64) int64 { return v + 1 })
+	c.Connect(in.Stage(), 0, m, nil, nil)
+	counts := make([]*batchCountVertex, 2)
+	cnt := c.AddStage("count", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+		counts[ctx.Worker()] = &batchCountVertex{}
+		return counts[ctx.Worker()]
+	})
+	c.Connect(m, 0, cnt, hashPart, nil)
+	if err := c.Start(); err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]Message, 4096)
+	for i := range recs {
+		recs[i] = int64(i)
+	}
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += len(recs) {
+		in.OnNext(recs[:min(len(recs), b.N-sent)]...)
+	}
+	in.Close()
+	if err := c.Join(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if got := counts[0].count + counts[1].count; got != int64(b.N) {
+		b.Fatalf("counted %d records, want %d", got, b.N)
 	}
 }
 

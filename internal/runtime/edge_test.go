@@ -100,13 +100,29 @@ func TestInputMisusePanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Close()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-			_ = c.Join()
-		}()
-		in.Send(int64(1))
+		for name, send := range map[string]func(){
+			"Send":         func() { in.Send(int64(1)) },
+			"empty Send":   func() { in.Send() },
+			"SendToWorker": func() { in.SendToWorker(0, []Message{int64(2)}) },
+			"OnNext":       func() { in.OnNext(int64(3)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s after Close did not panic", name)
+					}
+				}()
+				send()
+			}()
+		}
+		// Nothing was pushed: a feed the worker took would fail Join, and
+		// one it never took would still be in its mailbox.
+		if err := c.Join(); err != nil {
+			t.Fatal(err)
+		}
+		if !c.workers[0].mailbox.empty() {
+			t.Fatal("a send after Close reached the worker's mailbox")
+		}
 	})
 	t.Run("advance backwards", func(t *testing.T) {
 		c, in := mk()

@@ -48,32 +48,25 @@ func (in *Input) Epoch() int64 {
 }
 
 // Send introduces records into the current epoch, scattering them
-// round-robin across the workers.
-func (in *Input) Send(records ...Message) {
-	per, epoch := in.planSend(records)
-	for w, batch := range per {
-		if len(batch) > 0 {
-			in.feed(w, epoch, batch)
+// round-robin across the workers. The records travel as one batch (see
+// batchOf); the caller keeps its slice.
+func (in *Input) Send(records ...Message) { in.SendBatch(batchOf(records)) }
+
+// batchOf copies records into one pooled batch: typed when the first
+// record's type has a registered pool, widened to boxed on a record of
+// another type.
+func batchOf(records []Message) *batchbuf.Batch {
+	if len(records) == 0 {
+		return batchbuf.GetBoxed(0)
+	}
+	b := batchbuf.ArenaFor(records[0]).Get(len(records))
+	for _, r := range records {
+		if !b.Append(r) {
+			b = widen(b, len(records)-b.Len())
+			b.Append(r)
 		}
 	}
-}
-
-// planSend partitions records round-robin under the lock and snapshots the
-// epoch they belong to. The mailbox pushes happen after the lock is
-// released: a mailbox handoff acquires the receiving worker's own mutex,
-// and holding in.mu across it would couple the producer's and the worker's
-// lock orders through the scheduler. The single-producer contract keeps
-// the plan and the pushes consistent.
-func (in *Input) planSend(records []Message) ([][]Message, int64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.checkOpen()
-	per := make([][]Message, in.comp.cfg.Workers())
-	for _, r := range records {
-		per[in.rr%len(per)] = append(per[in.rr%len(per)], r)
-		in.rr++
-	}
-	return per, in.epoch
+	return b
 }
 
 // SendBatch introduces a whole batch into the current epoch, consuming one
@@ -98,9 +91,13 @@ func (in *Input) SendBatch(b *batchbuf.Batch) {
 	b.Release()
 }
 
-// planSendBatch scatters under the lock (see planSend for the locking
-// discipline). It returns a nil slice in the single-worker case, where no
-// scatter is needed.
+// planSendBatch scatters under the lock and snapshots the epoch the records
+// belong to. The mailbox pushes happen after the lock is released: a mailbox
+// handoff acquires the receiving worker's own mutex, and holding in.mu
+// across it would couple the producer's and the worker's lock orders
+// through the scheduler. The single-producer contract keeps the plan and
+// the pushes consistent. It returns a nil slice in the single-worker case,
+// where no scatter is needed.
 func (in *Input) planSendBatch(b *batchbuf.Batch) ([]*batchbuf.Batch, int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -142,13 +139,10 @@ func (in *Input) feedBatch(worker int, epoch int64, b *batchbuf.Batch) {
 
 // SendToWorker introduces records into the current epoch at a specific
 // worker's input vertex — the per-computer ingestion pattern of §5.4's
-// scaling experiments. The records slice is owned by the runtime after the
-// call.
+// scaling experiments. The records are copied into one batch, so the
+// caller keeps its slice.
 func (in *Input) SendToWorker(worker int, records []Message) {
-	epoch := in.planSendToWorker(worker)
-	if len(records) > 0 {
-		in.feed(worker, epoch, records)
-	}
+	in.SendBatchToWorker(worker, batchOf(records))
 }
 
 func (in *Input) planSendToWorker(worker int) int64 {
@@ -159,12 +153,6 @@ func (in *Input) planSendToWorker(worker int) int64 {
 		panic(fmt.Sprintf("runtime: SendToWorker(%d) with %d workers", worker, in.comp.cfg.Workers()))
 	}
 	return in.epoch
-}
-
-func (in *Input) feed(worker int, epoch int64, records []Message) {
-	in.comp.workers[worker].mailbox.push(mailItem{kind: mailControl, ctl: &controlMsg{
-		op: ctlInputFeed, stage: in.stage, epoch: epoch, records: records,
-	}})
 }
 
 // Advance completes the current epoch and opens the next: the external
@@ -185,7 +173,7 @@ func (in *Input) AdvanceTo(e int64) {
 }
 
 // planAdvance validates and records the epoch change under the lock,
-// reporting whether notifications need to go out. See planSend for why the
+// reporting whether notifications need to go out. See planSendBatch for why the
 // pushes happen unlocked.
 func (in *Input) planAdvance(e int64) bool {
 	in.mu.Lock()

@@ -88,14 +88,13 @@ const (
 // controlMsg carries input and checkpoint commands from the user thread
 // (and the checkpoint coordinator) to a worker.
 type controlMsg struct {
-	op      controlOp
-	stage   StageID
-	epoch   int64
-	cut     int64  // ctlBarrier / ctlBarrierAbort / ctlCutRetire
-	hseq    uint64 // ctlCapDrop (with stage): held-capability sequence number
-	records []Message
-	// ctlInputFeed batch path (Input.SendBatch); the push transfers the
-	// batch's reference to the worker.
+	op    controlOp
+	stage StageID
+	epoch int64
+	cut   int64  // ctlBarrier / ctlBarrierAbort / ctlCutRetire
+	hseq  uint64 // ctlCapDrop (with stage): held-capability sequence number
+	// ctlInputFeed: the records, as one batch whose reference the push
+	// transfers to the worker.
 	batch *batchbuf.Batch
 	// checkpoint/restore rendezvous:
 	cp  *checkpointState

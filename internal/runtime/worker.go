@@ -441,13 +441,7 @@ func (w *worker) handleControl(ctl *controlMsg) {
 			panic(fmt.Sprintf("runtime: input %s fed at epoch %d, current %d",
 				vs.si.name, ctl.epoch, vs.inputEpoch))
 		}
-		t := ts.Root(ctl.epoch)
-		for _, rec := range ctl.records {
-			w.sendBy(vs, 0, rec, t)
-		}
-		if ctl.batch != nil {
-			w.sendBatchBy(vs, 0, ctl.batch, t)
-		}
+		w.sendBatchBy(vs, 0, ctl.batch, ts.Root(ctl.epoch))
 	case ctlInputAdvance:
 		w.advanceInput(w.vertices[ctl.stage], ctl.epoch)
 	case ctlInputClose:
@@ -769,8 +763,8 @@ func (w *worker) notify(vs *vertexState, i int) {
 }
 
 // sendBy implements Context.SendBy: inside a callback of vs the record joins
-// a send session, outside one (the input feed, a Capability.SendBy while the
-// vertex is not running) it is routed on its own.
+// a send session, outside one (a Capability.SendBy while the vertex is not
+// running) it is routed on its own.
 func (w *worker) sendBy(vs *vertexState, port int, msg Message, t ts.Timestamp) {
 	if w.replaying {
 		// Replay reconstructs state only: every send of the original
@@ -1105,13 +1099,16 @@ func (w *worker) routeMessage(vsSrc *vertexState, ci *connInfo, msg Message, t t
 		}
 		vsDst := w.vertices[ci.dst]
 		if w.fastPathOpen(ci, dstSi, vsDst, t) {
-			if dstSi.logged || w.chanRecv != nil || w.dlogs != nil {
+			switch {
+			case dstSi.logged || w.dlogs != nil:
 				one := batchbuf.One(msg)
 				if dstSi.logged {
 					w.comp.logBatch(dstSi.id, w.encodeFrameOwned(ci, dstVertex, src, t, one))
 				}
 				w.noteDelivery(ci, vsDst, src, t, one, false)
 				one.Release()
+			case w.chanRecv != nil:
+				w.chanRecv[chanKey(ci.id, src)]++ // noteDelivery without a log to write
 			}
 			w.deliver(vsDst, ci.inputIdx, nil, msg, t)
 			w.postUpdate(progress.Pointstamp{Time: t, Loc: graph.ConnLoc(ci.id)}, -1)
