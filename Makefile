@@ -141,7 +141,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseFrameHeader -fuzztime=10s ./internal/transport/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeProgress -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/runtime/
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalSnapshot -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzBarrierDecode -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalCut -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/

@@ -90,7 +90,9 @@ func TestChaosCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap = runtime.DecodeSnapshot(runtime.EncodeSnapshot(snap))
+	if snap, err = runtime.UnmarshalCut(runtime.EncodeCut(snap)); err != nil {
+		t.Fatal(err)
+	}
 	before := tagsOf(primary.col) // checkpoint-covered output only
 	primary.in.OnNext(epochs[3]...)
 	ct.Crash(1)
@@ -237,7 +239,8 @@ func TestSupervisedChaosCrashRecovery(t *testing.T) {
 			Probe:  col.Probe(),
 		}, nil
 	}
-	sup, err := supervise.New(supervise.Config{Factory: factory, Seed: seed})
+	store := &notifyingStore{MemStore: supervise.NewMemStore(3), after: 2, done: make(chan struct{})}
+	sup, err := supervise.New(supervise.Config{Factory: factory, Store: store, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +257,10 @@ func TestSupervisedChaosCrashRecovery(t *testing.T) {
 	for e := 0; e < 3; e++ {
 		feed(e)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for sup.Recovery().Checkpoints < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoints taken: %+v", sup.Recovery())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-store.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("no checkpoints taken: %+v", sup.Recovery())
 	}
 	chaos0.Crash(1)
 	for e := 3; e < len(epochs); e++ {
@@ -305,4 +306,23 @@ func TestSupervisedChaosCrashRecovery(t *testing.T) {
 	if len(dup) > 0 {
 		t.Fatalf("tags crossed twice across supervised recovery: %v", dup)
 	}
+}
+
+// notifyingStore is a MemStore that closes done once `after` snapshots have
+// been saved, so a test can wait for checkpoints without polling.
+type notifyingStore struct {
+	*supervise.MemStore
+	mu    sync.Mutex
+	after int
+	done  chan struct{}
+}
+
+func (s *notifyingStore) Save(epoch int64, data []byte) error {
+	err := s.MemStore.Save(epoch, data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.after--; s.after == 0 {
+		close(s.done)
+	}
+	return err
 }

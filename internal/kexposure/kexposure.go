@@ -230,7 +230,7 @@ func Run(cfg runtime.Config, epochs, tweetsPerEpoch int, k int64, mode FTMode, c
 			}
 			// Durability: the checkpoint is complete once it is written
 			// out (§3.4).
-			if _, err := snapFile.WriteAt(runtime.EncodeSnapshot(snap), 0); err != nil {
+			if _, err := snapFile.WriteAt(runtime.EncodeCut(snap), 0); err != nil {
 				return nil, err
 			}
 		}

@@ -83,7 +83,9 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap = runtime.DecodeSnapshot(runtime.EncodeSnapshot(snap)) // durability roundtrip
+	if snap, err = runtime.UnmarshalCut(runtime.EncodeCut(snap)); err != nil { // durability roundtrip
+		t.Fatal(err)
+	}
 	primary.in.Close()
 	if err := primary.comp.Join(); err != nil {
 		t.Fatal(err)

@@ -122,23 +122,22 @@ type HeldCapability struct {
 	Guarantee ts.Timestamp
 }
 
-// CutSnapshot is one complete asynchronous snapshot, aligned to the epoch
-// boundary Epoch: every vertex's state after processing exactly the epochs
-// below the boundary, the obligations each vertex held at its snapshot
-// instant (held capabilities, and notification requests all at or above the
-// boundary), the input epoch positions, and the deferred in-flight batches
-// logged during alignment (encoded data frames, in delivery order, all at or
-// above the boundary).
+// CutSnapshot is the one snapshot type, aligned to the epoch boundary
+// Epoch: every vertex's state after processing exactly the epochs below the
+// boundary, the obligations each vertex held at its snapshot instant (held
+// capabilities, and notification requests all at or above the boundary), the
+// input epoch positions, and the deferred in-flight batches logged during
+// alignment (encoded data frames, in delivery order, all at or above the
+// boundary). An asynchronous barrier cut assembles one while traffic flows;
+// Checkpoint takes one of a drained graph (Cut 0, no Channels).
 //
 // Because the fragments sit exactly on the epoch boundary, a full restore
-// needs only Vertices and InputEpochs — it is interchangeable with a
-// stop-the-world Snapshot taken at the same boundary, and the feeding
-// client replays epochs ≥ Epoch exactly as it would for one (RestoreCut);
-// that replay regenerates every hold and request. Caps and Channels serve
-// selective rollback: a revived worker replays its delivery log from the
-// snapshot instant, which needs the obligations outstanding at that
-// instant, and the deferred batches document the in-flight channel state
-// the log's first entries redeliver.
+// needs only Vertices and InputEpochs, and the feeding client replays epochs
+// ≥ Epoch (Restore); that replay regenerates every hold and request. Caps
+// and Channels serve selective rollback: a revived worker replays its
+// delivery log from the snapshot instant, which needs the obligations
+// outstanding at that instant, and the deferred batches document the
+// in-flight channel state the log's first entries redeliver.
 type CutSnapshot struct {
 	Cut         int64
 	Epoch       int64
@@ -158,17 +157,52 @@ func newCutSnapshot(cut, epoch int64) *CutSnapshot {
 	}
 }
 
-// cutVersion is the NSNP format version of an encoded CutSnapshot (version
-// 1 is EncodeSnapshot's stop-the-world format; both share the NSNP header).
-// Version 4 folded the pending-notification section into the one
-// obligations section. Version 5 has v4's layout, but its deferred channel
-// frames are in codec.Gob's flat form where v4 binaries wrote gob. Every
-// other version is refused with ErrCutVersion.
+// addFragment records one vertex's captured fragment in s, and an input
+// vertex's epoch position (every vertex of an input stage sits at the same
+// epoch when it is captured). Callers serialize access to s.
+func (s *CutSnapshot) addFragment(vs *vertexState, state []byte, held []HeldCapability) {
+	if state != nil {
+		putFragment(s.Vertices, vs, state)
+	}
+	if len(held) > 0 {
+		putFragment(s.Caps, vs, held)
+	}
+	if vs.si.role == graph.RoleInput {
+		s.InputEpochs[vs.si.id] = vs.inputEpoch
+	}
+}
+
+// putFragment sets vs's entry in a stage → vertex index map.
+func putFragment[V any](m map[StageID]map[int]V, vs *vertexState, v V) {
+	if m[vs.si.id] == nil {
+		m[vs.si.id] = make(map[int]V)
+	}
+	m[vs.si.id][vs.vertexIdx] = v
+}
+
+// Snapshot wire format: a fixed 12-byte header — magic "NSNP", format
+// version, CRC-32C of the body — followed by the codec-encoded body. The
+// header lets the on-disk store reject truncated, bit-rotted, or
+// foreign-format files with a clean error instead of restoring garbage
+// state into a live computation.
+const (
+	snapshotMagic      = 0x4e534e50 // "NSNP"
+	snapshotHeaderSize = 12
+)
+
+var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// cutVersion is the NSNP format version of an encoded CutSnapshot. Version
+// 4 folded the pending-notification section into the one obligations
+// section. Version 5 has v4's layout, but its deferred channel frames are in
+// codec.Gob's flat form where v4 binaries wrote gob. Every other version —
+// older cut layouts, and version 1, a retired stop-the-world format — is
+// refused with ErrCutVersion.
 const cutVersion = 5
 
 // ErrCutVersion is wrapped into UnmarshalCut's error for well-formed NSNP
-// bytes of any other format version — an older cut layout, or a
-// stop-the-world snapshot. Callers treat it like a corrupt snapshot.
+// bytes of any other format version. Callers treat it like a corrupt
+// snapshot.
 var ErrCutVersion = errors.New("runtime: unsupported cut version")
 
 // Flag bits of an encoded HeldCapability.
@@ -185,8 +219,8 @@ func putTimestamp(e *codec.Encoder, t ts.Timestamp) {
 	}
 }
 
-// EncodeCut serializes a cut for durable storage, framed with the same
-// versioned, checksummed NSNP header as EncodeSnapshot.
+// EncodeCut serializes a snapshot for durable storage, framed with the
+// versioned, checksummed NSNP header.
 func EncodeCut(s *CutSnapshot) []byte {
 	enc := codec.NewEncoder(1024)
 	enc.PutInt64(s.Cut)
@@ -441,36 +475,15 @@ func (c *Computation) RetireCut(cut int64) {
 // reportCutFragment records one vertex's aligned contribution. The last
 // fragment completes the cut and fires the handler from a fresh goroutine
 // (never from a worker thread — the handler may block on disk).
-func (c *Computation) reportCutFragment(cut int64, sid StageID, idx int, frag []byte,
-	held []HeldCapability, chans [][]byte, isInput bool, inputEpoch int64) {
+func (c *Computation) reportCutFragment(cut int64, vs *vertexState, state []byte, held []HeldCapability, chans [][]byte) {
 	c.cutMu.Lock()
 	cs := c.curCut
 	if cs == nil || cs.cut != cut || cs.settled {
 		c.cutMu.Unlock()
 		return
 	}
-	if frag != nil {
-		m := cs.snap.Vertices[sid]
-		if m == nil {
-			m = make(map[int][]byte)
-			cs.snap.Vertices[sid] = m
-		}
-		m[idx] = frag
-	}
-	if len(held) > 0 {
-		m := cs.snap.Caps[sid]
-		if m == nil {
-			m = make(map[int][]HeldCapability)
-			cs.snap.Caps[sid] = m
-		}
-		m[idx] = held
-	}
+	cs.snap.addFragment(vs, state, held)
 	cs.snap.Channels = append(cs.snap.Channels, chans...)
-	if isInput {
-		// Every vertex of an input stage sits at the same epoch when the
-		// barrier reaches it (the injector orders it after all feeds).
-		cs.snap.InputEpochs[sid] = inputEpoch
-	}
 	cs.got++
 	done := cs.got == cs.want
 	if done {

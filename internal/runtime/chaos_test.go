@@ -216,7 +216,10 @@ func TestChaosCrashThenCheckpointRecovery(t *testing.T) {
 	if err := rec.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Restore(DecodeSnapshot(EncodeSnapshot(snap))); err != nil {
+	if snap, err = UnmarshalCut(EncodeCut(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if rin.Epoch() != 2 {

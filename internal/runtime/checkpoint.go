@@ -1,9 +1,7 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"naiad/internal/codec"
@@ -18,44 +16,35 @@ type Checkpointer interface {
 	Restore(dec *codec.Decoder)
 }
 
-// Snapshot is a consistent checkpoint of every stateful vertex plus the
-// input epoch positions, taken across all workers (§3.4). Snapshots are
-// taken at epoch boundaries: the caller quiesces the computation first
-// (stop feeding, wait on a probe), which is the "pause and flush" step of
-// the paper's protocol.
-type Snapshot struct {
-	Vertices    map[StageID]map[int][]byte // stage → vertex index → state
-	InputEpochs map[StageID]int64
-}
-
 // checkpointState is the rendezvous object shared by the workers while a
-// checkpoint or restore is in progress. cut is set when the snapshot being
-// restored came from an asynchronous-barrier cut.
+// checkpoint or restore is in progress: checkpointing workers add their
+// fragments to snap under mu, restoring workers only read it.
 type checkpointState struct {
 	mu   sync.Mutex
-	snap *Snapshot
-	cut  *CutSnapshot
+	snap *CutSnapshot
 }
 
-// Checkpoint pauses each worker in turn at a quantum boundary, flushes its
-// queued deliveries, and serializes every vertex implementing
-// Checkpointer. Call it only when the fed epochs have completed (e.g.
-// after Probe.WaitFor); checkpointing a computation with in-flight work
-// returns an inconsistent snapshot.
-func (c *Computation) Checkpoint() (*Snapshot, error) {
+// Checkpoint is §3.4's synchronous checkpoint: it pauses each worker in turn
+// at a quantum boundary, flushes its queued deliveries, and captures every
+// vertex's fragment exactly as a barrier cut does at its aligned instant.
+// Call it only when the fed epochs have completed (e.g. after
+// Probe.WaitFor); checkpointing a computation with in-flight work returns an
+// inconsistent snapshot. A drained graph has nothing in flight, so the
+// result is the barrier cut of that boundary (after Carbone et al.): Cut 0,
+// Epoch the smallest input epoch, no Channels, and Caps holding whatever
+// capabilities and notification requests outlive the drained epochs.
+func (c *Computation) Checkpoint() (*CutSnapshot, error) {
 	if !c.started {
 		return nil, fmt.Errorf("runtime: Checkpoint before Start")
 	}
-	snap := &Snapshot{
-		Vertices:    make(map[StageID]map[int][]byte),
-		InputEpochs: make(map[StageID]int64),
-	}
-	for _, in := range c.inputs {
-		snap.InputEpochs[in.stage] = in.Epoch()
-	}
-	cp := &checkpointState{snap: snap}
-	if err := c.rendezvous(ctlCheckpoint, cp); err != nil {
+	snap := newCutSnapshot(0, 0)
+	if err := c.rendezvous(ctlCheckpoint, &checkpointState{snap: snap}); err != nil {
 		return nil, err
+	}
+	for i, in := range c.inputs {
+		if e := snap.InputEpochs[in.stage]; i == 0 || e < snap.Epoch {
+			snap.Epoch = e
+		}
 	}
 	return snap, nil
 }
@@ -72,66 +61,48 @@ func (e *UnknownStageError) Error() string {
 	return fmt.Sprintf("runtime: snapshot references stage %d, which this graph does not have", e.Stage)
 }
 
-// Restore loads a snapshot into a freshly started computation: vertex
-// states are handed to Restore on their owning workers, and the inputs are
-// advanced to their checkpointed epochs so the progress protocol accounts
-// for the skipped epochs.
+// Restore loads a snapshot — a Checkpoint result or a barrier cut — into a
+// freshly started computation: vertex fragments restore on their owning
+// workers, and the inputs advance to their snapshot positions so the
+// progress protocol accounts for the skipped epochs. The caller owns
+// redelivery of everything past the snapshot's epoch boundary, by replaying
+// its input log from the restored epochs. That replay also regenerates the
+// obligations (held capabilities, notification requests) and deferred
+// channel batches, so they are NOT re-injected here (that would deliver them
+// twice); they serve selective rollback (ReviveWorker), where the delivery
+// log — not a replayed feed — reconstructs the post-boundary execution.
 //
-// Input epochs only move forward: a snapshot whose InputEpochs entry is ≤
-// the input's current epoch leaves that input where it is (AdvanceTo is
-// skipped), because epochs are monotone in the progress protocol and
-// rewinding one would violate the frontier invariant. The normal recovery
-// flow — rebuild the graph, Start, Restore — always restores into inputs
-// at epoch 0, so every checkpointed position wins; only a caller restoring
-// into a computation that has already been fed can observe the skip.
+// Input epochs only move forward: an InputEpochs entry ≤ the input's current
+// epoch leaves that input where it is, because rewinding an epoch would
+// violate the frontier invariant. The normal recovery flow — rebuild the
+// graph, Start, Restore — restores into inputs at epoch 0, so only a caller
+// restoring into an already-fed computation can observe the skip.
 //
 // A snapshot referencing a StageID outside the graph (in Vertices or
 // InputEpochs) is rejected with *UnknownStageError before any vertex state
-// is touched.
-func (c *Computation) Restore(snap *Snapshot) error {
-	return c.restore(&checkpointState{snap: snap})
-}
-
-// RestoreCut loads an asynchronous-barrier cut into a freshly started
-// computation. Cut fragments sit exactly on the cut's epoch boundary, so a
-// full restore is the same operation as restoring a stop-the-world
-// Snapshot taken there: vertex fragments restore on their owning workers
-// and the inputs advance to their cut positions. The caller owns
-// redelivery of everything past the boundary — exactly as for Restore —
-// by replaying its input log from the restored epochs; that replay also
-// regenerates the cut's obligations (held capabilities, notification
-// requests) and deferred channel batches, which therefore must NOT be
-// re-injected here (doing so would deliver them twice). They exist for
-// selective rollback (ReviveWorker), where the delivery log — not a
-// replayed feed — reconstructs the post-boundary execution. The same
-// forward-only input rule and UnknownStageError validation as Restore
-// apply.
-func (c *Computation) RestoreCut(cut *CutSnapshot) error {
-	return c.restore(&checkpointState{
-		snap: &Snapshot{Vertices: cut.Vertices, InputEpochs: cut.InputEpochs},
-		cut:  cut,
-	})
-}
-
-func (c *Computation) restore(cp *checkpointState) error {
+// is touched. A fragment that does not decode, or one for a stage that does
+// not checkpoint, is refused with an error naming the stage and vertex;
+// other vertices may already be restored by then, so discard the
+// computation.
+func (c *Computation) Restore(snap *CutSnapshot) error {
 	if !c.started {
 		return fmt.Errorf("runtime: Restore before Start")
 	}
-	for sid := range cp.snap.Vertices {
+	for sid := range snap.Vertices {
 		if int(sid) < 0 || int(sid) >= len(c.stages) {
 			return &UnknownStageError{Stage: sid}
 		}
 	}
-	for sid := range cp.snap.InputEpochs {
+	for sid := range snap.InputEpochs {
 		if int(sid) < 0 || int(sid) >= len(c.stages) {
 			return &UnknownStageError{Stage: sid}
 		}
 	}
-	if err := c.rendezvous(ctlRestore, cp); err != nil {
+	if err := c.rendezvous(ctlRestore, &checkpointState{snap: snap}); err != nil {
 		return err
 	}
 	for _, in := range c.inputs {
-		if e, ok := cp.snap.InputEpochs[in.stage]; ok && e > in.Epoch() {
+		if e, ok := snap.InputEpochs[in.stage]; ok && e > in.Epoch() {
 			in.AdvanceTo(e)
 		}
 	}
@@ -166,167 +137,43 @@ func (c *Computation) rendezvous(op controlOp, cp *checkpointState) error {
 }
 
 // checkpointVertices runs on the worker thread: it flushes queued local
-// deliveries and serializes the worker's stateful vertices.
+// deliveries and adds every hosted vertex's fragment to the snapshot.
 func (w *worker) checkpointVertices(cp *checkpointState) error {
-	var t0 int64
-	if w.tracer != nil {
-		t0 = w.tracer.Now()
-	}
+	defer w.traceRendezvous(trace.EvCheckpoint)()
 	w.deliverAll()
 	for _, vs := range w.vsList {
-		cpr, ok := vs.vertex.(Checkpointer)
-		if !ok {
-			continue
-		}
-		enc := codec.NewEncoder(256)
-		cpr.Checkpoint(enc)
+		state, held := vs.captureFragment()
 		cp.mu.Lock()
-		m := cp.snap.Vertices[vs.si.id]
-		if m == nil {
-			m = make(map[int][]byte)
-			cp.snap.Vertices[vs.si.id] = m
-		}
-		m[vs.vertexIdx] = append([]byte(nil), enc.Bytes()...)
+		cp.snap.addFragment(vs, state, held)
 		cp.mu.Unlock()
-	}
-	if w.tracer != nil {
-		w.tracer.Emit(trace.Event{
-			Kind: trace.EvCheckpoint, Worker: int32(w.id), Stage: -1, Loc: -1,
-			Epoch: -1, Dur: w.tracer.Now() - t0,
-		})
 	}
 	return nil
 }
 
-// restoreVertices runs on the worker thread: it hands each stateful vertex
-// its checkpointed bytes.
+// restoreVertices runs on the worker thread: it hands each hosted vertex its
+// fragment, then records the snapshot, stripped to what was actually applied
+// (fragments and input positions), as the baseline a later snap-less revival
+// replays the whole post-restore delivery log against.
 func (w *worker) restoreVertices(cp *checkpointState) error {
-	var t0 int64
-	if w.tracer != nil {
-		t0 = w.tracer.Now()
-	}
+	defer w.traceRendezvous(trace.EvRestore)()
+	s := cp.snap
 	for _, vs := range w.vsList {
-		cpr, ok := vs.vertex.(Checkpointer)
-		if !ok {
-			continue
-		}
-		cp.mu.Lock()
-		data, found := cp.snap.Vertices[vs.si.id][vs.vertexIdx]
-		cp.mu.Unlock()
-		if !found {
-			continue
-		}
-		cpr.Restore(codec.NewDecoder(data))
-	}
-	if cut := cp.cut; cut != nil {
-		// Record the cut as the revival baseline for selective rollback before
-		// the next complete cut, stripped to what was actually applied
-		// (fragments and input positions): a later snap-less revival replays
-		// the whole post-restore delivery log against the same starting state
-		// the live worker had.
-		w.restoredCut = &CutSnapshot{
-			Cut: cut.Cut, Epoch: cut.Epoch,
-			Vertices: cut.Vertices, InputEpochs: cut.InputEpochs,
+		if err := vs.restoreFragment(s); err != nil {
+			return err
 		}
 	}
-	if w.tracer != nil {
-		w.tracer.Emit(trace.Event{
-			Kind: trace.EvRestore, Worker: int32(w.id), Stage: -1, Loc: -1,
-			Epoch: -1, Dur: w.tracer.Now() - t0,
-		})
-	}
+	w.restoredCut = &CutSnapshot{Cut: s.Cut, Epoch: s.Epoch, Vertices: s.Vertices, InputEpochs: s.InputEpochs}
 	return nil
 }
 
-// Snapshot wire format: a fixed 12-byte header — magic "NSNP", format
-// version, CRC-32C of the body — followed by the codec-encoded body. The
-// header lets the on-disk store reject truncated, bit-rotted, or
-// foreign-format files with a clean error instead of restoring garbage
-// state into a live computation.
-const (
-	snapshotMagic      = 0x4e534e50 // "NSNP"
-	snapshotVersion    = 1
-	snapshotHeaderSize = 12
-)
-
-var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeSnapshot serializes a snapshot for durable storage, framed with
-// the versioned, checksummed snapshot header.
-func EncodeSnapshot(s *Snapshot) []byte {
-	enc := codec.NewEncoder(1024)
-	enc.PutUint32(uint32(len(s.Vertices)))
-	for sid, m := range s.Vertices {
-		enc.PutUint32(uint32(sid))
-		enc.PutUint32(uint32(len(m)))
-		for idx, data := range m {
-			enc.PutUint32(uint32(idx))
-			enc.PutBytes(data)
-		}
+// traceRendezvous starts timing this worker's part of a rendezvous; the
+// returned func emits it as one event of the given kind.
+func (w *worker) traceRendezvous(kind trace.Kind) func() {
+	if w.tracer == nil {
+		return func() {}
 	}
-	enc.PutUint32(uint32(len(s.InputEpochs)))
-	for sid, e := range s.InputEpochs {
-		enc.PutUint32(uint32(sid))
-		enc.PutInt64(e)
+	t0 := w.tracer.Now()
+	return func() {
+		w.tracer.Emit(trace.Event{Kind: kind, Worker: int32(w.id), Stage: -1, Loc: -1, Epoch: -1, Dur: w.tracer.Now() - t0})
 	}
-	body := enc.Bytes()
-	out := make([]byte, snapshotHeaderSize+len(body))
-	binary.LittleEndian.PutUint32(out[0:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(out[4:8], snapshotVersion)
-	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(body, snapshotCRC))
-	copy(out[snapshotHeaderSize:], body)
-	return out
-}
-
-// UnmarshalSnapshot parses a serialized snapshot, validating the header,
-// version, and body checksum. Untrusted bytes (a file off disk) never
-// panic: structural damage surfaces as an error.
-func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < snapshotHeaderSize {
-		return nil, fmt.Errorf("runtime: snapshot too short: %d bytes", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:4]); m != snapshotMagic {
-		return nil, fmt.Errorf("runtime: bad snapshot magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != snapshotVersion {
-		return nil, fmt.Errorf("runtime: unsupported snapshot version %d (want %d)", v, snapshotVersion)
-	}
-	body := data[snapshotHeaderSize:]
-	if sum := crc32.Checksum(body, snapshotCRC); sum != binary.LittleEndian.Uint32(data[8:12]) {
-		return nil, fmt.Errorf("runtime: snapshot checksum mismatch: body is corrupt")
-	}
-	s := &Snapshot{
-		Vertices:    make(map[StageID]map[int][]byte),
-		InputEpochs: make(map[StageID]int64),
-	}
-	err := codec.Catch(func() {
-		dec := codec.NewDecoder(body)
-		for n := int(dec.Uint32()); n > 0; n-- {
-			sid := StageID(dec.Uint32())
-			m := make(map[int][]byte)
-			for k := int(dec.Uint32()); k > 0; k-- {
-				idx := int(dec.Uint32())
-				m[idx] = append([]byte(nil), dec.BytesView()...)
-			}
-			s.Vertices[sid] = m
-		}
-		for n := int(dec.Uint32()); n > 0; n-- {
-			sid := StageID(dec.Uint32())
-			s.InputEpochs[sid] = dec.Int64()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DecodeSnapshot parses a serialized snapshot, panicking on malformed
-// input. Use UnmarshalSnapshot for bytes that crossed a trust boundary.
-func DecodeSnapshot(data []byte) *Snapshot {
-	s, err := UnmarshalSnapshot(data)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }

@@ -25,14 +25,14 @@ func TestRestoreRejectsUnknownStage(t *testing.T) {
 		}
 	}()
 	var use *UnknownStageError
-	err := c.Restore(&Snapshot{
+	err := c.Restore(&CutSnapshot{
 		Vertices:    map[StageID]map[int][]byte{99: {0: nil}},
 		InputEpochs: map[StageID]int64{},
 	})
 	if !errors.As(err, &use) || use.Stage != 99 {
 		t.Fatalf("Restore = %v, want *UnknownStageError for stage 99", err)
 	}
-	err = c.Restore(&Snapshot{
+	err = c.Restore(&CutSnapshot{
 		Vertices:    map[StageID]map[int][]byte{},
 		InputEpochs: map[StageID]int64{42: 7},
 	})
@@ -57,7 +57,7 @@ func TestRestoreStaleEpochSkipsAdvance(t *testing.T) {
 		t.Fatalf("input epoch = %d, want 3", in.Epoch())
 	}
 	// A stale snapshot position (epoch 1 < current 3) must not rewind.
-	err := c.Restore(&Snapshot{
+	err := c.Restore(&CutSnapshot{
 		Vertices:    map[StageID]map[int][]byte{},
 		InputEpochs: map[StageID]int64{in.Stage(): 1},
 	})
@@ -76,21 +76,13 @@ func TestRestoreStaleEpochSkipsAdvance(t *testing.T) {
 	}
 }
 
-// TestSnapshotFramingRejectsCorruption: the versioned, checksummed header
-// must reject truncation, foreign bytes, version skew, and bit rot — and
-// accept its own output.
+// TestSnapshotFramingRejectsCorruption: the versioned, checksummed NSNP
+// header must reject truncation, foreign bytes, version skew, and bit rot —
+// and accept its own output.
 func TestSnapshotFramingRejectsCorruption(t *testing.T) {
-	snap := &Snapshot{
-		Vertices:    map[StageID]map[int][]byte{1: {0: []byte("state")}},
-		InputEpochs: map[StageID]int64{0: 7},
-	}
-	data := EncodeSnapshot(snap)
-	good, err := UnmarshalSnapshot(data)
-	if err != nil {
+	data := EncodeCut(mixedCut())
+	if _, err := UnmarshalCut(data); err != nil {
 		t.Fatal(err)
-	}
-	if string(good.Vertices[1][0]) != "state" || good.InputEpochs[0] != 7 {
-		t.Fatalf("roundtrip mangled the snapshot: %+v", good)
 	}
 	cases := map[string][]byte{
 		"empty":     {},
@@ -104,16 +96,10 @@ func TestSnapshotFramingRejectsCorruption(t *testing.T) {
 	flipped[len(flipped)-1] ^= 0x40 // bit rot in the body
 	cases["bit rot"] = flipped
 	for name, bad := range cases {
-		if _, err := UnmarshalSnapshot(bad); err == nil {
+		if _, err := UnmarshalCut(bad); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DecodeSnapshot did not panic on corrupt input")
-		}
-	}()
-	DecodeSnapshot(flipped)
 }
 
 // TestHeartbeatSuspicionAbortsComputation wires Config.Heartbeat through a

@@ -187,6 +187,26 @@ func (w *worker) park() bool {
 	}
 }
 
+// restoreFragment is the one per-vertex fragment restore, shared by Restore
+// and a selective revival: it hands the vertex its state bytes from s, if s
+// has any. Bytes that do not decode, and bytes for a stage that does not
+// checkpoint, are refused with an error naming the stage and vertex.
+func (vs *vertexState) restoreFragment(s *CutSnapshot) error {
+	frag, ok := s.Vertices[vs.si.id][vs.vertexIdx]
+	if !ok {
+		return nil
+	}
+	cpr, isCp := vs.vertex.(Checkpointer)
+	if !isCp {
+		return fmt.Errorf("runtime: snapshot has state for stage %s vertex %d, which does not checkpoint",
+			vs.si.name, vs.vertexIdx)
+	}
+	if err := codec.Catch(func() { cpr.Restore(codec.NewDecoder(frag)) }); err != nil {
+		return fmt.Errorf("runtime: restoring stage %s vertex %d: %w", vs.si.name, vs.vertexIdx, err)
+	}
+	return nil
+}
+
 // revive rebuilds the worker's vertices and reconstructs their state:
 // restore the cut's fragments (state bytes, obligations table, input
 // positions), then replay the delivery log from the cut boundary with side
@@ -236,15 +256,8 @@ func (w *worker) revive(snap *CutSnapshot) error {
 				}
 				vs.heldCaps = append(vs.heldCaps, hc)
 			}
-			if frag, ok := base.Vertices[vs.si.id][vs.vertexIdx]; ok {
-				cpr, isCp := vs.vertex.(Checkpointer)
-				if !isCp {
-					return fmt.Errorf("runtime: cut %d has state for stage %s, which does not checkpoint", base.Cut, vs.si.name)
-				}
-				dec := codec.NewDecoder(frag)
-				if err := codec.Catch(func() { cpr.Restore(dec) }); err != nil {
-					return fmt.Errorf("runtime: restoring stage %s vertex %d: %w", vs.si.name, vs.vertexIdx, err)
-				}
+			if err := vs.restoreFragment(base); err != nil {
+				return err
 			}
 		}
 		if vs.si.role == graph.RoleInput {

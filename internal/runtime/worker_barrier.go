@@ -85,6 +85,26 @@ func (w *worker) tryCompleteBarrier(vs *vertexState) {
 	w.finishBarrier(vs)
 }
 
+// captureFragment is the one per-vertex snapshot capture, shared by
+// Checkpoint and a barrier's finishBarrier: the vertex's Checkpointer state
+// (nil for a stateless vertex) and its obligations table in Seq order. It
+// runs on the owning worker thread.
+func (vs *vertexState) captureFragment() (state []byte, held []HeldCapability) {
+	if cpr, ok := vs.vertex.(Checkpointer); ok {
+		enc := codec.NewEncoder(256)
+		cpr.Checkpoint(enc)
+		state = append([]byte(nil), enc.Bytes()...)
+	}
+	for _, hc := range vs.heldCaps {
+		h := HeldCapability{Seq: hc.seq, Notify: hc.notify, Guarantee: hc.guarantee}
+		if hc.pc != nil {
+			h.HasCap, h.Time = true, hc.pc.Time()
+		}
+		held = append(held, h)
+	}
+	return state, held
+}
+
 // finishBarrier takes the vertex's snapshot at the fully drained boundary:
 // capture the fragment (state bytes and the obligations table — held
 // capabilities, e.g. a sink whose commit I/O for a sealed epoch has not
@@ -94,20 +114,7 @@ func (w *worker) tryCompleteBarrier(vs *vertexState) {
 // batches.
 func (w *worker) finishBarrier(vs *vertexState) {
 	cut := vs.barrierCut
-	var frag []byte
-	if cpr, ok := vs.vertex.(Checkpointer); ok {
-		enc := codec.NewEncoder(256)
-		cpr.Checkpoint(enc)
-		frag = append([]byte(nil), enc.Bytes()...)
-	}
-	var held []HeldCapability
-	for _, hc := range vs.heldCaps {
-		h := HeldCapability{Seq: hc.seq, Notify: hc.notify, Guarantee: hc.guarantee}
-		if hc.pc != nil {
-			h.HasCap, h.Time = true, hc.pc.Time()
-		}
-		held = append(held, h)
-	}
+	state, held := vs.captureFragment()
 	if w.dlogs != nil {
 		w.dlogs[vs.si.id].begin(cut, vs.nextCapSeq)
 	}
@@ -121,8 +128,7 @@ func (w *worker) finishBarrier(vs *vertexState) {
 			Loc: -1, Epoch: cut, Dur: tr.Now() - vs.barrierT0, N: int64(len(vs.barrierChans)),
 		})
 	}
-	w.comp.reportCutFragment(cut, vs.si.id, vs.vertexIdx, frag, held,
-		vs.barrierChans, vs.si.role == graph.RoleInput, vs.inputEpoch)
+	w.comp.reportCutFragment(cut, vs, state, held, vs.barrierChans)
 	vs.lastCut = cut
 	w.clearBarrier(vs)
 }

@@ -1,6 +1,6 @@
 package supervise_test
 
-// Tests for the asynchronous-barrier snapshot path: the stop-the-world
+// Tests for the asynchronous-barrier snapshot path: the synchronous-checkpoint
 // differential oracle, marker-level chaos (drop / duplicate / reorder must
 // stall or abort a cut, never tear it), crash-during-alignment fallback,
 // selective single-worker rollback, and the settle-timer liveness bound.
@@ -82,11 +82,11 @@ func auditCutStore(t *testing.T, store supervise.SnapshotStore) int {
 }
 
 // TestDifferentialCheckpointVsBarrierCut is the oracle test: the supervisor's
-// asynchronous barrier cuts must persist exactly the vertex state and input
-// positions a stop-the-world checkpoint captures at the same epoch boundary.
-// The oracle side is driven by the test itself: a plain computation fed one
-// epoch at a time, drained on its probe, and checkpointed (paper §3.4) at
-// every boundary.
+// asynchronous barrier cuts must persist exactly the boundary, vertex state
+// (byte for byte) and input positions a synchronous checkpoint captures at
+// the same epoch boundary. The oracle side is driven by the test itself: a
+// plain computation fed one epoch at a time, drained on its probe, and
+// checkpointed (paper §3.4) at every boundary.
 func TestDifferentialCheckpointVsBarrierCut(t *testing.T) {
 	const epochs = 6
 	mk := func(ctx *runtime.Context) runtime.Vertex { return &counter{ctx: ctx} }
@@ -99,7 +99,7 @@ func TestDifferentialCheckpointVsBarrierCut(t *testing.T) {
 	if err := ob.Comp.Start(); err != nil {
 		t.Fatal(err)
 	}
-	oracle := make(map[int64]*runtime.Snapshot)
+	oracle := make(map[int64]*runtime.CutSnapshot)
 	for e := int64(1); e <= epochs; e++ {
 		ob.Inputs["in"].OnNext(int64(1) << (e - 1))
 		ob.Probe.WaitFor(e - 1)
@@ -150,9 +150,15 @@ func TestDifferentialCheckpointVsBarrierCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Caps and Channels are left out: the supervisor feeds ahead, so its
+		// cut may hold post-boundary notification requests and deferred
+		// batches that a drained checkpoint never sees.
 		snap := oracle[e]
-		if got, want := decodeCounterTotal(t, cut.Vertices), decodeCounterTotal(t, snap.Vertices); got != want {
-			t.Fatalf("epoch %d: barrier cut holds counter total %d, checkpoint oracle %d", e, got, want)
+		if cut.Epoch != snap.Epoch {
+			t.Fatalf("epoch %d: barrier cut at boundary %d, checkpoint oracle at %d", e, cut.Epoch, snap.Epoch)
+		}
+		if !reflect.DeepEqual(cut.Vertices, snap.Vertices) {
+			t.Fatalf("epoch %d: vertex fragments %v in the cut, %v in the oracle", e, cut.Vertices, snap.Vertices)
 		}
 		if !reflect.DeepEqual(cut.InputEpochs, snap.InputEpochs) {
 			t.Fatalf("epoch %d: input epochs %v in the cut, %v in the oracle", e, cut.InputEpochs, snap.InputEpochs)

@@ -734,7 +734,7 @@ func (s *Supervisor) restoreInto(build *Build) error {
 		// A restore the graph rejects (UnknownStageError) is as unusable as
 		// a corrupt snapshot, but the rendezvous may have touched vertex
 		// state — don't risk a half-restored build, fail the attempt.
-		if err := build.Comp.RestoreCut(cut); err != nil {
+		if err := build.Comp.Restore(cut); err != nil {
 			return err
 		}
 		if tr := s.cfg.Tracer; tr != nil {

@@ -54,8 +54,10 @@ type (
 	Message = runtime.Message
 	// Timestamp is a logical time: epoch plus loop counters (§2.1).
 	Timestamp = ts.Timestamp
-	// Snapshot is a consistent checkpoint of all stateful vertices (§3.4).
-	Snapshot = runtime.Snapshot
+	// Snapshot is a consistent checkpoint of all stateful vertices (§3.4):
+	// what Computation.Checkpoint returns and Restore loads, the same type
+	// an asynchronous barrier cut assembles.
+	Snapshot = runtime.CutSnapshot
 	// Checkpointer is implemented by vertices with durable state (§3.4).
 	Checkpointer = runtime.Checkpointer
 	// Accumulation selects progress-update batching (§3.3).
