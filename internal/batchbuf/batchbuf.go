@@ -18,7 +18,9 @@
 //   - OnRecvBatch callbacks borrow the batch for the duration of the call:
 //     the runtime still owns it and releases it after the callback returns.
 //     A vertex that forwards or stores the batch past the callback must
-//     Retain it (SendBatchBy then consumes that extra reference).
+//     Retain it (SendBatchBy then consumes that extra reference). A
+//     borrowed batch is read-only: the runtime may retain it past the
+//     callback (a replay log does), so its records must not be modified.
 //   - Release drops one reference; at zero the batch's column is reset and
 //     returned to its home pool. Any slice previously obtained from the
 //     batch (Col().Slice(), a Col[T].Data view) is use-after-recycle once

@@ -157,6 +157,70 @@ func TestCanonicalBytesMatchesReference(t *testing.T) {
 	if got := canonicalBytes(cod, []open(nil)); len(got) != 0 {
 		t.Errorf("empty epoch encodes to %x", got)
 	}
+	// The sort keys on each encoding's first eight bytes. Records whose
+	// encodings agree on those and differ later, are prefixes of one
+	// another, or end in 0x00 (which the key's zero padding looks like) must
+	// still fall back to the full comparison. rawString encodes a string as
+	// its bare bytes, so encodings can be prefixes of one another.
+	edges := []string{
+		"abcdefgh", "abcdefghY", "abcdefghX", "abcdefgh\x00", "abcdefgh\x00\x00",
+		"abcdefgX", "ab", "ab\x00", "ab\x00\x00", "a", "", "\x00", "ab\x00\x01",
+		"abcdefghXa", "abcdefgh", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+	}
+	if got, want := canonicalBytes(rawString{}, edges), referenceCanonicalBytes(rawString{}, edges); !bytes.Equal(got, want) {
+		t.Errorf("raw: canonical bytes differ:\n got %x\nwant %x", got, want)
+	}
+	// The same shapes through the flat codec: a Pair's encoding starts with
+	// the key's 4-byte length, so keys that share four leading bytes agree
+	// on the whole 8-byte sort key.
+	pairs := []Pair[string, int64]{
+		{"abcdX", 1}, {"abcdW", 1}, {"abcd", 0}, {"abcd\x00", 0}, {"abcd\x00\x00", 0},
+		{"abcdX", 0}, {"abcdXY", 1 << 40}, {"abcdXY", 0}, {"abc", 0}, {"abc\x00", 256},
+	}
+	flat := codec.Gob[Pair[string, int64]]()
+	if got, want := canonicalBytes(flat, pairs), referenceCanonicalBytes(flat, pairs); !bytes.Equal(got, want) {
+		t.Errorf("flat edges: canonical bytes differ:\n got %x\nwant %x", got, want)
+	}
+}
+
+// rawString encodes a string record as its bare bytes, with no length, so
+// one record's encoding can be a prefix of another's. It decodes one record
+// from whatever bytes remain, which is all a canonical sink batch asks.
+type rawString struct{}
+
+func (rawString) EncodeBatch(enc *codec.Encoder, records []any) {
+	for _, r := range records {
+		for _, c := range []byte(r.(string)) {
+			enc.PutUint8(c)
+		}
+	}
+}
+
+func (rawString) DecodeBatch(dec *codec.Decoder, n int) []any {
+	out := make([]any, 0, n)
+	for i := 0; i < n; i++ {
+		var b []byte
+		for dec.Remaining() > 0 {
+			b = append(b, dec.Uint8())
+		}
+		out = append(out, string(b))
+	}
+	return out
+}
+
+// BenchmarkCanonicalBytes256 is the sink's per-epoch canonical form at the
+// keycount shape: 256 Pair[int64, int64] records through the flat codec,
+// encoded, sorted and concatenated once per iteration.
+func BenchmarkCanonicalBytes256(b *testing.B) {
+	recs := make([]Pair[int64, int64], 256)
+	for i := range recs {
+		recs[i] = KV(int64(i*7919)%1000003, int64(i%17+1))
+	}
+	cod := codec.Gob[Pair[int64, int64]]()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		canonicalBytes(cod, recs)
+	}
 }
 
 // BenchmarkFoldByKey256 is FoldByKey's receive path at the keycount shape:

@@ -2,6 +2,8 @@ package lib
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"slices"
 	"sort"
 	"sync"
@@ -215,9 +217,15 @@ type sealedBatch struct {
 // across workers, so each record is encoded alone and the encodings are
 // sorted before concatenation. Two runs that deliver the same multiset of
 // records produce identical bytes. The encodings share one arena and the
-// sort moves only their spans.
+// sort moves only their spans, ordered by bytes.Compare: each span carries
+// its first eight bytes as a big-endian key (zero-padded), which orders two
+// encodings exactly as bytes.Compare does whenever the keys differ, so the
+// full comparison runs only on equal keys.
 func canonicalBytes[T any](cod codec.Codec, recs []T) []byte {
-	type span struct{ lo, hi int }
+	type span struct {
+		key    uint64
+		lo, hi int
+	}
 	var arena codec.Encoder
 	spans := make([]span, len(recs))
 	se, _ := cod.(codec.SliceEncoder[T])
@@ -228,10 +236,20 @@ func canonicalBytes[T any](cod codec.Codec, recs []T) []byte {
 		} else {
 			cod.EncodeBatch(&arena, []any{recs[i]})
 		}
-		spans[i] = span{lo, len(arena.Bytes())}
+		spans[i] = span{lo: lo, hi: len(arena.Bytes())}
 	}
 	buf := arena.Bytes()
-	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	for i := range spans {
+		var k [8]byte
+		copy(k[:], buf[spans[i].lo:spans[i].hi])
+		spans[i].key = binary.BigEndian.Uint64(k[:])
+	}
+	slices.SortFunc(spans, func(a, b span) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi])
+	})
 	out := codec.NewEncoder(len(buf) + 4*len(recs))
 	for _, sp := range spans {
 		out.PutBytes(buf[sp.lo:sp.hi])

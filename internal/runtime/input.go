@@ -49,13 +49,14 @@ func (in *Input) Epoch() int64 {
 
 // Send introduces records into the current epoch, scattering them
 // round-robin across the workers. The records travel as one batch (see
-// batchOf); the caller keeps its slice.
-func (in *Input) Send(records ...Message) { in.SendBatch(batchOf(records)) }
+// BatchOf); the caller keeps its slice.
+func (in *Input) Send(records ...Message) { in.SendBatch(BatchOf(records)) }
 
-// batchOf copies records into one pooled batch: typed when the first
-// record's type has a registered pool, widened to boxed on a record of
-// another type.
-func batchOf(records []Message) *batchbuf.Batch {
+// BatchOf copies records into one pooled batch (one reference, owned by the
+// caller): typed when the first record's type has a registered pool,
+// widened to boxed on a record of another type. It is the one conversion
+// from boxed records to the batch plane; the caller keeps its slice.
+func BatchOf(records []Message) *batchbuf.Batch {
 	if len(records) == 0 {
 		return batchbuf.GetBoxed(0)
 	}
@@ -142,7 +143,7 @@ func (in *Input) feedBatch(worker int, epoch int64, b *batchbuf.Batch) {
 // scaling experiments. The records are copied into one batch, so the
 // caller keeps its slice.
 func (in *Input) SendToWorker(worker int, records []Message) {
-	in.SendBatchToWorker(worker, batchOf(records))
+	in.SendBatchToWorker(worker, BatchOf(records))
 }
 
 func (in *Input) planSendToWorker(worker int) int64 {

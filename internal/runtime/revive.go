@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 
+	"naiad/internal/batchbuf"
 	"naiad/internal/codec"
 	"naiad/internal/graph"
 	"naiad/internal/progress"
@@ -25,7 +26,8 @@ import (
 type vlogEntryKind uint8
 
 const (
-	// vlogRecv is one delivered data batch (encoded data frame).
+	// vlogRecv is one delivered data batch, held by reference: the log
+	// never leaves the process, so it keeps the batch the data plane built.
 	vlogRecv vlogEntryKind = iota
 	// vlogNotify is one delivered notification (identified, like every
 	// obligations-table entry, by its per-vertex sequence number).
@@ -41,10 +43,12 @@ const (
 )
 
 type vlogEntry struct {
-	kind    vlogEntryKind
-	payload []byte // vlogRecv
-	epoch   int64  // vlogAdvance
-	seq     uint64 // vlogNotify, vlogCapDrop
+	kind  vlogEntryKind
+	ci    *connInfo       // vlogRecv
+	t     ts.Timestamp    // vlogRecv
+	batch *batchbuf.Batch // vlogRecv: one reference, the log's own
+	epoch int64           // vlogAdvance
+	seq   uint64          // vlogNotify, vlogCapDrop
 }
 
 // vlogSeg is the run of entries a vertex observed after snapshotting for
@@ -78,7 +82,8 @@ func (l *vlog) begin(cut int64, nextSeq uint64) {
 }
 
 // abortSeg merges an aborted cut's segment back into its predecessor: the
-// snapshot boundary no longer exists, but the entries still happened.
+// snapshot boundary no longer exists, but the entries still happened, so
+// their batches stay referenced.
 func (l *vlog) abortSeg(cut int64) {
 	for i := 1; i < len(l.segs); i++ {
 		if l.segs[i].cut == cut {
@@ -89,10 +94,18 @@ func (l *vlog) abortSeg(cut int64) {
 	}
 }
 
-// retire prunes segments made obsolete by a completed, persisted cut:
-// revival will never start before that cut's boundary again.
+// retire prunes segments made obsolete by a completed, persisted cut —
+// revival will never start before that cut's boundary again — and releases
+// the batches they held. Until then a segment keeps its batches across any
+// number of replays: a second crash replays the same segment.
 func (l *vlog) retire(cut int64) {
 	for len(l.segs) >= 2 && l.segs[1].cut <= cut {
+		for _, e := range l.segs[0].entries {
+			if e.batch != nil {
+				e.batch.Release()
+			}
+		}
+		l.segs[0] = vlogSeg{}
 		l.segs = l.segs[1:]
 	}
 }
@@ -321,9 +334,7 @@ func (w *worker) replayLogs(cut int64) error {
 func (w *worker) replayEntry(vs *vertexState, e *vlogEntry) error {
 	switch e.kind {
 	case vlogRecv:
-		ci, _, _, t, b := decodeDataBatch(w.comp, e.payload)
-		w.deliver(vs, ci.inputIdx, b, nil, t)
-		b.Release()
+		w.deliver(vs, e.ci.inputIdx, e.batch, nil, e.t)
 	case vlogNotify:
 		i, ok := vs.heldIndex(e.seq)
 		if !ok || !vs.heldCaps[i].notify {

@@ -43,7 +43,10 @@ type Vertex interface {
 // owns it and releases it afterwards. A vertex that forwards the batch
 // (ctx.SendBatchBy) or stores it past the callback must Retain it first.
 // The slice obtained from b.Col().Slice() is likewise valid only during
-// the callback unless the vertex holds a retained reference.
+// the callback unless the vertex holds a retained reference. The batch is
+// read-only: OnRecvBatch must not modify its records, because the runtime
+// may keep a reference after the callback returns (the delivery log of
+// selective rollback replays the very batch a crashed vertex saw).
 type BatchVertex interface {
 	Vertex
 	// OnRecvBatch delivers one batch that arrived on the input with the

@@ -184,7 +184,8 @@ type worker struct {
 	cutDone    int64
 
 	// Selective-rollback state (nil unless a worker-crash handler is
-	// installed). dlogs holds one delivery log per hosted stage; all of it —
+	// installed). dlogs holds one delivery log per hosted stage, which keeps
+	// references to the batches it logged; all of it —
 	// like the channel counters — survives a simulated crash: the crash
 	// destroys vertex state, not the channels. replaying suppresses sends
 	// and occurrence posts during log replay.
@@ -625,8 +626,7 @@ func (w *worker) encodeFrame(ci *connInfo, dstVertex, srcVertex int, t ts.Timest
 }
 
 // encodeFrameOwned is encodeFrame into an exact-size copy the caller owns —
-// for the replay log, barrier channel state, and the log sink, which all
-// retain the frame.
+// for barrier channel state and the log sink, which persist the frame.
 func (w *worker) encodeFrameOwned(ci *connInfo, dstVertex, srcVertex int, t ts.Timestamp, b *batchbuf.Batch) []byte {
 	return append([]byte(nil), w.encodeFrame(ci, dstVertex, srcVertex, t, b)...)
 }

@@ -283,13 +283,15 @@ func (w *worker) retireCutCtl(cut int64) {
 // noteDelivery observes one delivered (not deferred) batch on a channel: it
 // advances the receive counter markers are checked against — unless the
 // batch already counted when it was deferred — and appends it to the
-// vertex's delivery log for selective replay. The batch is borrowed.
+// vertex's delivery log for selective replay. The batch is borrowed; the
+// log takes a reference of its own, which is safe because a delivered
+// batch is read-only.
 func (w *worker) noteDelivery(ci *connInfo, vs *vertexState, src int, t ts.Timestamp, b *batchbuf.Batch, uncounted bool) {
 	if w.chanRecv != nil && !uncounted {
 		w.chanRecv[chanKey(ci.id, src)]++
 	}
-	if w.dlogs != nil {
-		w.logEntry(vs, vlogEntry{kind: vlogRecv, payload: w.encodeFrameOwned(ci, vs.vertexIdx, src, t, b)})
+	if w.dlogs != nil && !w.replaying {
+		w.dlogs[vs.si.id].add(vlogEntry{kind: vlogRecv, ci: ci, t: t, batch: b.Retain()})
 	}
 }
 

@@ -133,9 +133,9 @@ const (
 )
 
 type command struct {
-	kind    cmdKind
-	input   string
-	records []runtime.Message
+	kind  cmdKind
+	input string
+	batch *runtime.Batch // cmdFeed: one reference, handed to the log
 }
 
 type supEventKind uint8
@@ -176,8 +176,8 @@ type Supervisor struct {
 
 	// Run-loop-owned state; never touched from public methods.
 	build    *Build
-	log      map[string]map[int64][]runtime.Message // input → epoch → batch
-	fed      map[string]int64                       // epochs fed per input
+	log      map[string]map[int64]*runtime.Batch // input → epoch → batch
+	fed      map[string]int64                    // epochs fed per input
 	closedIn map[string]bool
 	// closeDeferred holds inputs the application has closed while a barrier
 	// cut covering their final epochs was still possible or in flight; the
@@ -217,7 +217,7 @@ func New(cfg Config) (*Supervisor, error) {
 		evCh:          make(chan supEvent, 16),
 		doneCh:        make(chan struct{}),
 		inputs:        make(map[string]bool),
-		log:           make(map[string]map[int64][]runtime.Message),
+		log:           make(map[string]map[int64]*runtime.Batch),
 		fed:           make(map[string]int64),
 		closedIn:      make(map[string]bool),
 		closeDeferred: make(map[string]bool),
@@ -230,7 +230,7 @@ func New(cfg Config) (*Supervisor, error) {
 	s.build = build
 	for name := range build.Inputs {
 		s.inputs[name] = true
-		s.log[name] = make(map[int64][]runtime.Message)
+		s.log[name] = make(map[int64]*runtime.Batch)
 		// Every input participates in the alignment guard from epoch 0: an
 		// input that has never been fed must hold minFed at 0, or
 		// maybeCheckpoint would cut at an epoch boundary the unfed input
@@ -284,17 +284,16 @@ func (s *Supervisor) spawn() (*Build, error) {
 }
 
 // OnNext feeds one epoch of records to the named input, mirroring
-// runtime.Input.OnNext. The batch is logged for replay before it reaches
-// the computation; feeding is asynchronous — delivery failures surface
-// through recovery, not through this call. The batch is copied before this
-// returns, so the caller may reuse its buffer: a mutated buffer must not
-// rewrite what a later replay feeds.
+// runtime.Input.OnNext. The records are copied once, into the typed batch
+// (runtime.BatchOf) that is both logged for replay and fed to the
+// computation, so the caller may reuse its buffer: a mutated buffer must
+// not rewrite what a later replay feeds. Feeding is asynchronous —
+// delivery failures surface through recovery, not through this call.
 func (s *Supervisor) OnNext(input string, records ...runtime.Message) error {
 	if !s.inputs[input] {
 		return fmt.Errorf("supervise: unknown input %q", input)
 	}
-	batch := append([]runtime.Message(nil), records...)
-	return s.send(command{kind: cmdFeed, input: input, records: batch})
+	return s.send(command{kind: cmdFeed, input: input, batch: runtime.BatchOf(records)})
 }
 
 // CloseInput marks the named input complete. Once every input is closed
@@ -391,17 +390,22 @@ func (s *Supervisor) finish(err error) {
 
 func (s *Supervisor) handle(cmd command) {
 	if s.closedIn[cmd.input] || s.closeDeferred[cmd.input] {
-		return // feeding or re-closing a closed input is a no-op
+		// Feeding or re-closing a closed input is a no-op.
+		if cmd.batch != nil {
+			cmd.batch.Release()
+		}
+		return
 	}
 	in := s.build.Inputs[cmd.input]
 	switch cmd.kind {
 	case cmdFeed:
 		// Log first: if the computation dies mid-feed, replay still has
-		// the batch. cmd.records is the supervisor's own copy (made in
-		// OnNext), so the log entry cannot alias a caller buffer.
-		s.log[cmd.input][s.fed[cmd.input]] = cmd.records
+		// the batch. The log keeps cmd.batch's reference (the supervisor's
+		// own copy, made in OnNext, so it cannot alias a caller buffer); the
+		// computation gets one more, and only reads the batch.
+		s.log[cmd.input][s.fed[cmd.input]] = cmd.batch
 		s.fed[cmd.input]++
-		in.OnNext(cmd.records...)
+		feed(in, cmd.batch)
 		s.maybeCheckpoint()
 	case cmdClose:
 		// Hold the close while a cut covering the input's final epochs is in
@@ -627,8 +631,9 @@ func (s *Supervisor) pruneLog() {
 	}
 	oldest := eps[0]
 	for _, byEpoch := range s.log {
-		for e := range byEpoch {
+		for e, b := range byEpoch {
 			if e < oldest {
+				b.Release()
 				delete(byEpoch, e)
 			}
 		}
@@ -762,19 +767,26 @@ func (s *Supervisor) restoreInto(build *Build) error {
 func (s *Supervisor) replayInto(build *Build) error {
 	for name, in := range build.Inputs {
 		for e := in.Epoch(); e < s.fed[name]; e++ {
-			batch, ok := s.log[name][e]
+			b, ok := s.log[name][e]
 			if !ok {
 				return fmt.Errorf(
 					"supervise: replay log pruned below restore point (epoch %d of input %q)",
 					e, name)
 			}
-			in.OnNext(batch...)
+			feed(in, b)
 		}
 		if s.closedIn[name] {
 			in.Close()
 		}
 	}
 	return nil
+}
+
+// feed supplies one logged epoch to an input and advances it. The log keeps
+// its reference: a later full restart replays the same batch.
+func feed(in *runtime.Input, b *runtime.Batch) {
+	in.SendBatch(b.Retain())
+	in.Advance()
 }
 
 // backoff sleeps the jittered exponential delay before a restart attempt

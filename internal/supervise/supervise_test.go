@@ -347,51 +347,79 @@ func TestSupervisorMultiInputAlignment(t *testing.T) {
 // returns must not rewrite history — the replayed run's output must equal
 // the fault-free run's. Checkpointing is effectively disabled so recovery
 // replays every logged epoch, including the ones fed from the recycled
-// buffer.
+// buffer. With one worker the input hands the logged batch itself to the
+// dataflow, so a log that did not keep its own reference would replay a
+// batch the dataflow had already released.
 func TestSupervisorReplayUnaffectedByCallerBufferReuse(t *testing.T) {
-	seed := testutil.Seed(t)
-	s := newEpochSink()
-	var chaos0 *transport.Chaos
-	fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
-		return &counter{ctx: ctx}
-	}, func(inc int64, cfg *runtime.Config) {
-		ct := transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{Seed: seed + inc})
-		if inc == 0 {
-			chaos0 = ct
-		}
-		cfg.Transport = ct
-	})
-	sup, err := supervise.New(supervise.Config{Factory: fact, CheckpointEvery: 100, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]runtime.Message, 2)
-	buf[0], buf[1] = int64(1), int64(2)
-	if err := sup.OnNext("in", buf...); err != nil { // epoch 0: {1,2}
-		t.Fatal(err)
-	}
-	buf[0] = int64(10)
-	if err := sup.OnNext("in", buf[:1]...); err != nil { // epoch 1: {10}
-		t.Fatal(err)
-	}
-	// Poison the recycled buffer: if the log aliased it, replay would feed
-	// {4242,4242} and {4242} instead of {1,2} and {10}.
-	buf[0], buf[1] = int64(4242), int64(4242)
-	chaos0.Crash(1)
-	if err := sup.OnNext("in", int64(100)); err != nil { // epoch 2: {100}
-		t.Fatal(err)
-	}
-	if err := sup.CloseInput("in"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Wait(); err != nil {
-		t.Fatalf("supervised run did not recover: %v", err)
-	}
-	if got := s.values(2); len(got) != 1 || got[0] != 113 {
-		t.Fatalf("epoch 2 = %v, want [113]: replay fed a batch the caller had overwritten", got)
-	}
-	if rec := sup.Recovery(); rec.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1 (%+v)", rec.Restarts, rec)
+	for _, tc := range []struct {
+		name       string
+		procs, wpp int
+		// crash fails the first incarnation: a process crash on the
+		// two-process network, an abort where there is no network to cut.
+		crash func(b *supervise.Build, ct *transport.Chaos)
+	}{
+		{"2x2", 2, 2, func(_ *supervise.Build, ct *transport.Chaos) { ct.Crash(1) }},
+		{"1x1", 1, 1, func(b *supervise.Build, _ *transport.Chaos) { b.Comp.Abort(errors.New("injected failure")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := testutil.Seed(t)
+			s := newEpochSink()
+			var chaos0 *transport.Chaos
+			fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
+				return &counter{ctx: ctx}
+			}, func(inc int64, cfg *runtime.Config) {
+				cfg.Processes, cfg.WorkersPerProcess = tc.procs, tc.wpp
+				ct := transport.NewChaos(transport.NewMem(tc.procs), transport.ChaosConfig{Seed: seed + inc})
+				if inc == 0 {
+					chaos0 = ct
+				}
+				cfg.Transport = ct
+			})
+			var build0 *supervise.Build
+			first := func() (*supervise.Build, error) {
+				b, err := fact()
+				if build0 == nil {
+					build0 = b
+				}
+				return b, err
+			}
+			sup, err := supervise.New(supervise.Config{Factory: first, CheckpointEvery: 100, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]runtime.Message, 2)
+			buf[0], buf[1] = int64(1), int64(2)
+			if err := sup.OnNext("in", buf...); err != nil { // epoch 0: {1,2}
+				t.Fatal(err)
+			}
+			buf[0] = int64(10)
+			if err := sup.OnNext("in", buf[:1]...); err != nil { // epoch 1: {10}
+				t.Fatal(err)
+			}
+			// Poison the recycled buffer: if the log aliased it, replay would
+			// feed {4242,4242} and {4242} instead of {1,2} and {10}. Both
+			// epochs drain through the first incarnation before the crash, so
+			// the dataflow has released its references to the logged batches
+			// by the time replay feeds them again.
+			buf[0], buf[1] = int64(4242), int64(4242)
+			build0.Probe.WaitFor(1)
+			tc.crash(build0, chaos0)
+			if err := sup.OnNext("in", int64(100)); err != nil { // epoch 2: {100}
+				t.Fatal(err)
+			}
+			if err := sup.CloseInput("in"); err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.Wait(); err != nil {
+				t.Fatalf("supervised run did not recover: %v", err)
+			}
+			if got := s.values(2); len(got) != 1 || got[0] != 113 {
+				t.Fatalf("epoch 2 = %v, want [113]: replay fed a batch the caller had overwritten", got)
+			}
+			if rec := sup.Recovery(); rec.Restarts != 1 {
+				t.Fatalf("restarts = %d, want 1 (%+v)", rec.Restarts, rec)
+			}
+		})
 	}
 }
 
