@@ -131,7 +131,7 @@ soak-ingress:
 	done
 
 # Short fuzz passes over the codec (primitives and the compiled flat plan
-# against its reflect-only oracle), frame, barrier, and trace-log parsers,
+# against its reflect-only oracle), frame, barrier and cut parsers,
 # plus the capability/tracker differential (the indexed tracker against its
 # two oracles, test-side, on every schedule of mint/clone/downgrade/drop).
 fuzz:
@@ -143,4 +143,3 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzBarrierDecode -fuzztime=10s ./internal/runtime/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalCut -fuzztime=10s ./internal/runtime/
-	$(GO) test -run=^$$ -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/

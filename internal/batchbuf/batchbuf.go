@@ -411,13 +411,6 @@ func GetBoxed(capacity int) *Batch {
 	return b
 }
 
-// One returns a pooled boxed batch holding a single record.
-func One(v any) *Batch {
-	b := GetBoxed(1)
-	b.col.(*anyCol).data = append(b.col.(*anyCol).data, v)
-	return b
-}
-
 // Wrap adopts a boxed record slice as an unpooled batch (one reference;
 // Release drops it for garbage collection instead of recycling). The batch
 // owns the slice.

@@ -125,9 +125,10 @@ func TestWrapAndOneOwnership(t *testing.T) {
 	}
 	w.Release() // unpooled: just drops to GC
 
-	one := One(int64(42))
-	if one.Len() != 1 || one.Record(0).(int64) != 42 {
-		t.Fatalf("One built %v", one.Col().Slice())
+	// A one-record batch is what a one-record send session leaves as.
+	one := ArenaFor(int64(0)).Get(1)
+	if !one.Append(int64(42)) || one.Len() != 1 || one.Record(0).(int64) != 42 {
+		t.Fatalf("one-record batch holds %v", one.Col().Slice())
 	}
 	one.Release()
 }

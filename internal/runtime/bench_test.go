@@ -156,9 +156,9 @@ func feedOneByOne(in *Input, n int) {
 	}
 }
 
-// BenchmarkPipelineRecordsBoxed is the boxed compatibility path record-at-a-
-// time: each record reaches the map stage in its own callback (per-record
-// OnRecv), and the map's SendBy leaves as a one-record session. The
+// BenchmarkPipelineRecordsBoxed is a boxed pipeline record-at-a-time: each
+// record reaches the map stage in its own callback (per-record OnRecv), and
+// the map's SendBy leaves as a one-record session, a one-record batch. The
 // receiver must see exactly one one-record delivery per record.
 func BenchmarkPipelineRecordsBoxed(b *testing.B) {
 	c, err := NewComputation(Config{Processes: 1, WorkersPerProcess: 1, Accumulation: AccLocalGlobal})

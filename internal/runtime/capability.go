@@ -154,7 +154,8 @@ func (hc *Capability) DropAsync() {
 
 // SendBy emits a message at time t ≥ the capability's time, under the
 // capability's authority — usable from callbacks whose own time has passed t
-// (including purge notifications). Worker-thread only.
+// (including purge notifications). Sent while the vertex is not running, the
+// message leaves at once, as a one-record batch. Worker-thread only.
 func (hc *Capability) SendBy(output int, msg Message, t ts.Timestamp) {
 	_, cur := hc.current("SendBy")
 	w, vs := hc.w, hc.w.vertices[hc.stage]

@@ -334,7 +334,7 @@ func (w *worker) replayLogs(cut int64) error {
 func (w *worker) replayEntry(vs *vertexState, e *vlogEntry) error {
 	switch e.kind {
 	case vlogRecv:
-		w.deliver(vs, e.ci.inputIdx, e.batch, nil, e.t)
+		w.deliver(vs, e.ci.inputIdx, e.batch, e.t)
 	case vlogNotify:
 		i, ok := vs.heldIndex(e.seq)
 		if !ok || !vs.heldCaps[i].notify {

@@ -154,9 +154,11 @@ func TestFanOutBuilderDoesNotMutateSharedBatch(t *testing.T) {
 // so the +1 at the connector precedes the -1 that retires the sender's
 // authority in the raw post stream (AccNone), and the monitor stays clean.
 // Without the flush the session would leave at callback return, after the
-// -1.
+// -1. In the foreign case another vertex on the same worker sends and drops
+// through the holder's capability while the holder is not running: the
+// send is a session of one call that leaves at once.
 func TestSessionFlushesBeforeCapabilityRelease(t *testing.T) {
-	for _, release := range []string{"drop", "downgrade"} {
+	for _, release := range []string{"drop", "downgrade", "foreign"} {
 		t.Run(release, func(t *testing.T) {
 			progress.AuditCaps(t)
 			pl := newProgressLog()
@@ -167,11 +169,14 @@ func TestSessionFlushesBeforeCapabilityRelease(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := c.NewInput("in")
+			var hc *Capability
 			holder := c.AddStage("holder", graph.RoleNormal, 0, func(ctx *Context) Vertex {
-				var hc *Capability
 				return &funcVertex{onRecv: func(_ int, _ Message, t ts.Timestamp) {
 					if t.Epoch == 0 {
 						hc = ctx.HoldCapability(t)
+						return
+					}
+					if release == "foreign" {
 						return
 					}
 					hc.SendBy(0, int64(7), ts.Root(0))
@@ -183,6 +188,17 @@ func TestSessionFlushesBeforeCapabilityRelease(t *testing.T) {
 				}}
 			}, Pinned(0))
 			c.Connect(in.Stage(), 0, holder, nil, codec.Int64())
+			if release == "foreign" {
+				foreign := c.AddStage("foreign", graph.RoleNormal, 0, func(*Context) Vertex {
+					return &funcVertex{onRecv: func(_ int, _ Message, t ts.Timestamp) {
+						if t.Epoch == 1 {
+							hc.SendBy(0, int64(7), ts.Root(0))
+							hc.Drop()
+						}
+					}}
+				}, Pinned(0))
+				c.Connect(in.Stage(), 0, foreign, nil, codec.Int64())
+			}
 			rec := &recorder{}
 			dst := c.AddStage("dst", graph.RoleNormal, 0, func(ctx *Context) Vertex {
 				notified := map[int64]bool{}
@@ -458,8 +474,8 @@ func TestSessionReentrantCallbackDuringFlush(t *testing.T) {
 		return &funcVertex{onRecv: func(_ int, m Message, t ts.Timestamp) {
 			maxExec = max(maxExec, ctx.executing)
 			x := m.(int64)
-			// Two records open the port-0 session, so it leaves as a batch;
-			// the port-1 session is still pending while it is routed.
+			// The port-1 session is still pending while the port-0 one is
+			// routed.
 			if x < laps {
 				ctx.SendBy(0, x+1, t)
 				ctx.SendBy(0, int64(-1), t)
@@ -500,5 +516,77 @@ func TestSessionReentrantCallbackDuringFlush(t *testing.T) {
 	}
 	if maxExec < 2 {
 		t.Fatalf("body never re-entered (max depth %d): the test exercised nothing", maxExec)
+	}
+}
+
+// batchSeen records, per receiving vertex, each batch handed to OnRecvBatch
+// and the records in it.
+type batchSeen struct {
+	mu      sync.Mutex
+	batches map[int][]*Batch
+	recs    map[int][]string
+}
+
+type batchSeenVertex struct {
+	ctx  *Context
+	seen *batchSeen
+}
+
+func (v *batchSeenVertex) OnRecv(int, Message, ts.Timestamp) { panic("batchSeenVertex: OnRecv") }
+func (v *batchSeenVertex) OnNotify(ts.Timestamp)             {}
+
+func (v *batchSeenVertex) OnRecvBatch(_ int, b *Batch, _ ts.Timestamp) {
+	v.seen.mu.Lock()
+	defer v.seen.mu.Unlock()
+	i := v.ctx.Index()
+	v.seen.batches[i] = append(v.seen.batches[i], b)
+	v.seen.recs[i] = append(v.seen.recs[i], fmt.Sprint(b.Col().Slice()))
+}
+
+// TestSingleDestinationBatchRoutedIntact: on a partitioned connector, a
+// batch whose records all hash to one destination reaches it as the batch
+// that was sent, not as a scatter copy, and a one-record SendBy to the
+// other worker arrives there exactly once.
+func TestSingleDestinationBatchRoutedIntact(t *testing.T) {
+	progress.AuditCaps(t)
+	cfg := Config{Processes: 2, WorkersPerProcess: 1, Accumulation: AccLocalGlobal,
+		SafetyChecks: true, Watchdog: 20 * time.Second}
+	c, err := NewComputation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := c.NewInput("in")
+	var sent *Batch
+	src := c.AddStage("src", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+		return &funcVertex{onRecv: func(_ int, _ Message, t ts.Timestamp) {
+			// Even records hash to vertex 0, on the sender's worker. The
+			// extra reference keeps the batch from being recycled into a
+			// copy that would compare equal.
+			sent = int64Batch(0, 2, 4)
+			ctx.SendBatchBy(0, sent.Retain(), t)
+			ctx.SendBy(0, int64(1), t)
+		}}
+	}, Pinned(0))
+	c.Connect(in.Stage(), 0, src, nil, codec.Int64())
+	seen := &batchSeen{batches: map[int][]*Batch{}, recs: map[int][]string{}}
+	dst := c.AddStage("dst", graph.RoleNormal, 0, func(ctx *Context) Vertex {
+		return &batchSeenVertex{ctx: ctx, seen: seen}
+	})
+	part, bpart := TypedPartitioner(func(x int64) uint64 { return uint64(x) })
+	c.ConnectBatch(src, 0, dst, part, bpart, codec.Int64())
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	in.OnNext(int64(0))
+	in.Close()
+	join(t, c)
+	if got := seen.recs[0]; fmt.Sprint(got) != "[[0 2 4]]" {
+		t.Fatalf("vertex 0 received %v, want one batch [0 2 4]", got)
+	}
+	if seen.batches[0][0] != sent {
+		t.Fatalf("vertex 0 received a copy of the single-destination batch, not the batch sent")
+	}
+	if got := seen.recs[1]; fmt.Sprint(got) != "[[1]]" {
+		t.Fatalf("vertex 1 received %v, want the one record [1] once", got)
 	}
 }

@@ -94,9 +94,9 @@ func (c *Context) Workers() int { return len(c.w.comp.workers) }
 // message is routed to a destination vertex of each connector attached to
 // the port using the connector's partitioning function; ingress, egress,
 // and feedback stages adjust the timestamp in flight. The time must be ≥
-// the time of the callback currently executing. Sent from a callback, the
-// records of one port and time leave together, as one batch, by the time
-// the callback returns.
+// the time of the callback currently executing. Every send leaves in a
+// batch: the records a callback sends on one port at one time leave
+// together, as one batch, by the time the callback returns.
 func (c *Context) SendBy(output int, msg Message, t ts.Timestamp) {
 	c.w.sendBy(c.vs, output, msg, t)
 }

@@ -75,12 +75,12 @@ type vertexState struct {
 	arenas   []batchbuf.Arena
 }
 
-// session is the records a vertex's callbacks sent on one port at one time.
+// session is the records a vertex's callbacks sent on one port at one time,
+// in a builder from the port's arena.
 type session struct {
-	port, n int // n records
-	t       ts.Timestamp
-	one     Message         // the first record; stale once b is open
-	b       *batchbuf.Batch // nil while the session holds one record
+	port int
+	t    ts.Timestamp
+	b    *batchbuf.Batch
 }
 
 // outKey identifies one pending outgoing batch.
@@ -559,24 +559,20 @@ func (w *worker) deliverBatch(d delivery) {
 		w.comp.logBatch(vs.si.id, w.encodeFrameOwned(d.ci, vs.vertexIdx, d.src, d.time, d.batch))
 	}
 	w.noteDelivery(d.ci, vs, d.src, d.time, d.batch, d.uncounted)
-	w.deliver(vs, d.ci.inputIdx, d.batch, nil, d.time)
+	w.deliver(vs, d.ci.inputIdx, d.batch, d.time)
 	w.postUpdate(progress.Pointstamp{Time: d.time, Loc: graph.ConnLoc(d.ci.id)}, -int64(n))
 	d.batch.Release()
 }
 
-// deliver runs a vertex's receive callback — the only place that happens,
-// for live delivery and log replay alike — on batch b, or on the single
-// record one when b is nil (the boxed per-record fast path, which builds no
-// batch). A batch goes through the BatchVertex fast path when the vertex has
-// one, otherwise one OnRecv per record. Either way the delivery costs one
-// activity bump and one time-stack frame; the vertex's open send sessions
-// flush before the callback's re-entrancy count drops. The batch is borrowed — the caller
-// keeps its reference.
-func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, one Message, t ts.Timestamp) {
-	n := 1
-	if b != nil {
-		n = b.Len()
-	}
+// deliver runs a vertex's receive callback on batch b — the only place that
+// happens, for live delivery and log replay alike. The batch goes through the
+// BatchVertex fast path when the vertex has one, otherwise one OnRecv per
+// record; either way the delivery costs one activity bump and one time-stack
+// frame, and the vertex's open send sessions flush before the callback's
+// re-entrancy count drops. The batch is borrowed — the caller keeps its
+// reference.
+func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, t ts.Timestamp) {
+	n := b.Len()
 	tr := w.observe(w.comp.counters.records, vs, int64(n))
 	vs.timeStack = append(vs.timeStack, timeFrame{t: t, canSend: true})
 	vs.ctx.executing++
@@ -584,12 +580,9 @@ func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, one Mess
 	if tr != nil {
 		t0 = tr.Now()
 	}
-	switch {
-	case b == nil:
-		vs.vertex.OnRecv(input, one, t)
-	case vs.bv != nil:
+	if vs.bv != nil {
 		vs.bv.OnRecvBatch(input, b, t)
-	default:
+	} else {
 		for i := 0; i < n; i++ {
 			vs.vertex.OnRecv(input, b.Record(i), t)
 		}
@@ -762,9 +755,9 @@ func (w *worker) notify(vs *vertexState, i int) {
 	}
 }
 
-// sendBy implements Context.SendBy: inside a callback of vs the record joins
-// a send session, outside one (a Capability.SendBy while the vertex is not
-// running) it is routed on its own.
+// sendBy implements Context.SendBy: the record joins a send session of vs.
+// Outside a callback of vs (a Capability.SendBy while the vertex is not
+// running) that session is the one call, and it leaves at once.
 func (w *worker) sendBy(vs *vertexState, port int, msg Message, t ts.Timestamp) {
 	if w.replaying {
 		// Replay reconstructs state only: every send of the original
@@ -772,10 +765,9 @@ func (w *worker) sendBy(vs *vertexState, port int, msg Message, t ts.Timestamp) 
 		return
 	}
 	w.checkSend(vs, port, t)
-	if vs.ctx.executing > 0 {
-		w.sessionAppend(vs, port, msg, t)
-	} else {
-		w.emit(vs, port, t, msg, nil)
+	w.sessionAppend(vs, port, msg, t)
+	if vs.ctx.executing == 0 {
+		w.flushSessions(vs)
 	}
 }
 
@@ -788,7 +780,7 @@ func (w *worker) sendBatchBy(vs *vertexState, port int, b *batchbuf.Batch, t ts.
 	}
 	w.checkSend(vs, port, t)
 	w.flushSessions(vs)
-	w.emit(vs, port, t, nil, b)
+	w.emit(vs, port, t, b)
 }
 
 // checkSend enforces the sending contract: not from a purge notification,
@@ -809,10 +801,9 @@ func (w *worker) checkSend(vs *vertexState, port int, t ts.Timestamp) {
 	}
 }
 
-// emit applies the stage's timestamp action to a send on port at t and
-// routes it over every connector of the port: batch b, consuming its
-// reference, or the single record one when b is nil.
-func (w *worker) emit(vs *vertexState, port int, t ts.Timestamp, one Message, b *batchbuf.Batch) {
+// emit applies the stage's timestamp action to a send of batch b on port at
+// t and routes b over every connector of the port, consuming its reference.
+func (w *worker) emit(vs *vertexState, port int, t ts.Timestamp, b *batchbuf.Batch) {
 	si, conns := vs.si, vs.si.outPorts[port]
 	switch si.role {
 	case graph.RoleIngress:
@@ -823,12 +814,6 @@ func (w *worker) emit(vs *vertexState, port int, t ts.Timestamp, one Message, b 
 		if t = t.Tick(); si.hasMaxIter && t.Inner() >= si.maxIter {
 			conns = nil // iteration bound reached: the send goes nowhere
 		}
-	}
-	if b == nil {
-		for _, cid := range conns {
-			w.routeMessage(vs, w.comp.conn(cid), one, t)
-		}
-		return
 	}
 	if len(conns) == 0 {
 		b.Release()
@@ -846,14 +831,14 @@ func (w *worker) emit(vs *vertexState, port int, t ts.Timestamp, one Message, b 
 
 // sessionAppend adds msg to vs's open session for (port, t), opening one if
 // there is none; a full session first flushes every session. A session
-// holds its first record inline; a second moves both into a builder from
-// the port's arena, typed when the record's type has a registered pool.
+// opens with a builder from the port's arena, typed when the port's first
+// record's type has a registered pool.
 func (w *worker) sessionAppend(vs *vertexState, port int, msg Message, t ts.Timestamp) {
 	i := len(vs.sessions) - 1
 	for i >= vs.sessHead && (vs.sessions[i].port != port || vs.sessions[i].t != t) {
 		i--
 	}
-	if i >= vs.sessHead && vs.sessions[i].n >= w.comp.cfg.batchSize() {
+	if i >= vs.sessHead && vs.sessions[i].b.Len() >= w.comp.cfg.batchSize() {
 		w.flushSessions(vs)
 		i = -1
 	}
@@ -861,27 +846,13 @@ func (w *worker) sessionAppend(vs *vertexState, port int, msg Message, t ts.Time
 		if len(vs.si.outPorts[port]) == 0 {
 			return
 		}
-		// Reuse the slot in place (flushOpen cleared its builder): zeroing
-		// it would cost GC write barriers on every send.
-		n := len(vs.sessions)
-		if n == cap(vs.sessions) {
-			vs.sessions = append(vs.sessions, session{})
-		}
-		vs.sessions = vs.sessions[:n+1]
-		s := &vs.sessions[n]
-		s.port, s.t, s.n, s.one = port, t, 1, msg
-		return
-	}
-	s := &vs.sessions[i]
-	if s.b == nil {
 		if vs.arenas[port] == (batchbuf.Arena{}) {
-			vs.arenas[port] = batchbuf.ArenaFor(s.one)
+			vs.arenas[port] = batchbuf.ArenaFor(msg)
 		}
-		s.b = vs.arenas[port].Get(2)
-		vs.push(s, s.one)
+		i = len(vs.sessions)
+		vs.sessions = append(vs.sessions, session{port: port, t: t, b: vs.arenas[port].Get(1)})
 	}
-	vs.push(s, msg)
-	s.n++
+	vs.push(&vs.sessions[i], msg)
 }
 
 // push appends msg to session s's builder, widening a typed one that cannot
@@ -909,12 +880,10 @@ func (w *worker) flushSessions(vs *vertexState) {
 func (w *worker) flushOpen(vs *vertexState) {
 	for vs.sessHead < len(vs.sessions) {
 		s := &vs.sessions[vs.sessHead]
-		port, t, one, b := s.port, s.t, s.one, s.b
-		if b != nil {
-			s.b = nil // one stays: a store costs a GC write barrier
-		}
+		port, t, b := s.port, s.t, s.b
+		s.b = nil
 		vs.sessHead++
-		w.emit(vs, port, t, one, b)
+		w.emit(vs, port, t, b)
 	}
 	vs.sessions, vs.sessHead = vs.sessions[:0], 0
 }
@@ -931,7 +900,9 @@ func widen(cur *batchbuf.Batch, extra int) *batchbuf.Batch {
 // to b. Unpartitioned (or single-peer) connectors forward the batch intact;
 // partitioned ones hash every record — through the connector's batch
 // partitioner when it has one, else the boxed per-record partitioner — and
-// scatter into per-destination builder batches.
+// scatter into per-destination builder batches, unless every record has
+// the same destination: then the batch goes there intact, as a one-record
+// session always does.
 func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch, t ts.Timestamp) {
 	n := b.Len()
 	if n == 0 {
@@ -972,6 +943,10 @@ func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch,
 			dsts[i] = uint32(h % uint64(peers))
 		}
 	}
+	if d := dsts[0]; !slices.ContainsFunc(dsts[1:], func(x uint32) bool { return x != d }) {
+		w.routeBatchTo(vsSrc.vertexIdx, ci, b, int(d), t)
+		return
+	}
 	if w.scatterDepth == len(w.scatter) {
 		w.scatter = append(w.scatter, nil)
 	}
@@ -1010,7 +985,7 @@ func (w *worker) routeBatchTo(src int, ci *connInfo, b *batchbuf.Batch, dstVerte
 				w.comp.logBatch(dstSi.id, w.encodeFrameOwned(ci, dstVertex, src, t, b))
 			}
 			w.noteDelivery(ci, vsDst, src, t, b, false)
-			w.deliver(vsDst, ci.inputIdx, b, nil, t)
+			w.deliver(vsDst, ci.inputIdx, b, t)
 			w.postUpdate(progress.Pointstamp{Time: t, Loc: graph.ConnLoc(ci.id)}, -int64(b.Len()))
 			b.Release()
 		} else {
@@ -1070,76 +1045,6 @@ func (w *worker) fastPathOpen(ci *connInfo, dstSi *stageInfo, vsDst *vertexState
 	}
 	return w.localFence[ci.id] == 0 && vsDst.ctx.executing < limit &&
 		!(vsDst.barrierCut != 0 && t.Epoch >= vsDst.barrierEpoch)
-}
-
-// routeMessage delivers msg on one connector: synchronously when the
-// destination vertex is local and not too deeply re-entered, queued
-// locally otherwise, or batched for transmission. vsSrc is the sending
-// vertex (the channel's source endpoint).
-func (w *worker) routeMessage(vsSrc *vertexState, ci *connInfo, msg Message, t ts.Timestamp) {
-	c := w.comp
-	dstSi := c.stage(ci.dst)
-	peers := dstSi.parallelism(c.cfg.Workers())
-	var dstVertex int
-	switch {
-	case ci.part != nil:
-		dstVertex = int(ci.part(msg) % uint64(peers))
-	case dstSi.pinned >= 0:
-		dstVertex = 0
-	default:
-		dstVertex = w.id
-	}
-	dstWorker := dstSi.workerFor(dstVertex)
-	src := vsSrc.vertexIdx
-	w.postUpdate(progress.Pointstamp{Time: t, Loc: graph.ConnLoc(ci.id)}, 1)
-
-	if dstWorker == w.id {
-		if w.chanSent != nil {
-			w.chanSent[chanKey(ci.id, dstVertex)]++
-		}
-		vsDst := w.vertices[ci.dst]
-		if w.fastPathOpen(ci, dstSi, vsDst, t) {
-			switch {
-			case dstSi.logged || w.dlogs != nil:
-				one := batchbuf.One(msg)
-				if dstSi.logged {
-					w.comp.logBatch(dstSi.id, w.encodeFrameOwned(ci, dstVertex, src, t, one))
-				}
-				w.noteDelivery(ci, vsDst, src, t, one, false)
-				one.Release()
-			case w.chanRecv != nil:
-				w.chanRecv[chanKey(ci.id, src)]++ // noteDelivery without a log to write
-			}
-			w.deliver(vsDst, ci.inputIdx, nil, msg, t)
-			w.postUpdate(progress.Pointstamp{Time: t, Loc: graph.ConnLoc(ci.id)}, -1)
-		} else {
-			w.localQ = append(w.localQ, delivery{ci: ci, vs: vsDst, src: src, time: t, batch: batchbuf.One(msg)})
-		}
-		return
-	}
-	w.appendOut(outKey{conn: ci.id, dstWorker: dstWorker, time: t}, msg)
-}
-
-// appendOut adds msg to the pending outgoing builder for key.
-func (w *worker) appendOut(key outKey, msg Message) {
-	bld, ok := w.outBatch[key]
-	if !ok {
-		// Typed when the record's type has a pool: batches append unboxed.
-		bld = batchbuf.ArenaFor(msg).Get(w.comp.cfg.batchSize())
-		w.outBatch[key] = bld
-	} else {
-		bld = w.appendable(key, bld, 1)
-	}
-	if !bld.Append(msg) {
-		// A typed builder (installed by a batch send) met a foreign boxed
-		// record: widen to a boxed builder.
-		bld = widen(bld, 1)
-		bld.Append(msg)
-		w.outBatch[key] = bld
-	}
-	if bld.Len() >= w.comp.cfg.batchSize() {
-		w.flushOne(key)
-	}
 }
 
 // flushOne sends one pending outgoing batch.

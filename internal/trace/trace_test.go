@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -122,37 +119,6 @@ func TestTracerStageNames(t *testing.T) {
 	}
 	if tr.Workers() != 2 || len(tr.Stages()) != 2 {
 		t.Fatalf("shape = %d workers / %d stages", tr.Workers(), len(tr.Stages()))
-	}
-}
-
-func TestSinks(t *testing.T) {
-	tr := attachTestTracer(t)
-	tr.Callback(0, 2, 3, false, 1500)
-	tr.Emit(Event{Kind: EvFrontier, Worker: 0, Stage: -1, Loc: 4, Epoch: 3})
-	log := tr.Harvest()
-
-	var jbuf bytes.Buffer
-	if err := WriteJSON(&jbuf, log, tr.StageName); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(jbuf.Bytes(), &decoded); err != nil {
-		t.Fatalf("JSON dump is not valid JSON: %v", err)
-	}
-	if len(decoded) != 2 {
-		t.Fatalf("JSON dump has %d events, want 2", len(decoded))
-	}
-	if decoded[0]["kind"] != "onrecv" || decoded[0]["name"] != "count" {
-		t.Fatalf("first JSON event = %v", decoded[0])
-	}
-
-	var tbuf bytes.Buffer
-	if err := WriteText(&tbuf, log); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(tbuf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[1], "frontier") {
-		t.Fatalf("text dump:\n%s", tbuf.String())
 	}
 }
 
