@@ -62,6 +62,8 @@ type Column interface {
 	// scatter is the column-typed loop behind Batch.Scatter; b is the batch
 	// the column belongs to.
 	scatter(b *Batch, dst []uint32, subs []*Batch)
+	// deal is the column-typed loop behind Batch.Deal.
+	deal(b *Batch, first int, subs []*Batch)
 	// reset empties the column for reuse, keeping capacity.
 	reset()
 }
@@ -150,6 +152,23 @@ func (b *Batch) Append(v any) bool { return b.col.Append(v) }
 // nothing stays nil and costs nothing. The loop is typed per column: no
 // record is boxed and no interface method is called per record.
 func (b *Batch) Scatter(dst []uint32, subs []*Batch) { b.col.scatter(b, dst, subs) }
+
+// Deal copies record i of b into subs[(first+i) % len(subs)], for every i:
+// the round-robin placement Scatter gives with those destinations, as one
+// strided typed copy per destination and without a destination array. subs
+// must be all nil on entry; a destination that receives no record (b has
+// fewer records than subs) stays nil.
+func (b *Batch) Deal(first int, subs []*Batch) { b.col.deal(b, first, subs) }
+
+// dealRange returns the first index of b's n records dealt to destination d
+// of peers, starting at first, and how many records d receives.
+func dealRange(n, first, d, peers int) (start, count int) {
+	start = ((d-first)%peers + peers) % peers
+	if start >= n {
+		return start, 0
+	}
+	return start, (n - start + peers - 1) / peers
+}
 
 // scatterHint sizes a scatter builder: an even share of the n records plus
 // slack for an uneven hash, instead of n for every destination.
@@ -248,6 +267,22 @@ func (c *Col[T]) scatter(b *Batch, dst []uint32, subs []*Batch) {
 	}
 }
 
+func (c *Col[T]) deal(b *Batch, first int, subs []*Batch) {
+	for d := range subs {
+		start, count := dealRange(len(c.Data), first, d, len(subs))
+		if count == 0 {
+			continue
+		}
+		subs[d] = b.NewLike(count)
+		col := subs[d].col.(*Col[T])
+		out := col.Data[:count]
+		for j := range out {
+			out[j] = c.Data[start+j*len(subs)]
+		}
+		col.Data = out
+	}
+}
+
 func (c *Col[T]) reset() {
 	if !c.keep {
 		clear(c.Data)
@@ -288,6 +323,20 @@ func (c *anyCol) scatter(b *Batch, dst []uint32, subs []*Batch) {
 		}
 		col := subs[d].col.(*anyCol)
 		col.data = append(col.data, c.data[i])
+	}
+}
+
+func (c *anyCol) deal(b *Batch, first int, subs []*Batch) {
+	for d := range subs {
+		start, count := dealRange(len(c.data), first, d, len(subs))
+		if count == 0 {
+			continue
+		}
+		subs[d] = b.NewLike(count)
+		col := subs[d].col.(*anyCol)
+		for i := start; i < len(c.data); i += len(subs) {
+			col.data = append(col.data, c.data[i])
+		}
 	}
 }
 

@@ -274,6 +274,81 @@ func TestScatterMatchesPerRecordLoop(t *testing.T) {
 	}
 }
 
+// TestDealMatchesScatter: Deal(first, subs) places every record exactly
+// where Scatter does with round-robin destinations (first+i) mod workers,
+// on typed and boxed columns; with fewer records than workers, the
+// destinations that receive none stay nil.
+func TestDealMatchesScatter(t *testing.T) {
+	columns := map[string]func(n int) *Batch{
+		"typed pooled": func(n int) *Batch {
+			b, col := PoolFor[int64]().Get(n)
+			for i := 0; i < n; i++ {
+				col.Data = append(col.Data, int64(i*7))
+			}
+			return b
+		},
+		"typed unpooled struct": func(n int) *Batch {
+			recs := make([]scatterRec, n)
+			for i := range recs {
+				recs[i] = scatterRec{K: int64(i), S: fmt.Sprint("s", i)}
+			}
+			return Of(recs)
+		},
+		"boxed": func(n int) *Batch {
+			b := GetBoxed(n)
+			for i := 0; i < n; i++ {
+				b.Append(int64(i))
+			}
+			return b
+		},
+		"mixed": func(n int) *Batch {
+			recs := make([]any, n)
+			for i := range recs {
+				recs[i] = []any{int64(i), fmt.Sprint(i), float64(i) / 2}[i%3]
+			}
+			return Wrap(recs)
+		},
+	}
+	for name, mk := range columns {
+		for _, workers := range []int{1, 2, 3, 4, 5, 8} {
+			for _, n := range []int{0, 1, 2, 3, 4, 7, 64, 65, 4096} {
+				for _, first := range []int{0, 1, workers - 1, workers + 2, 1000003} {
+					b := mk(n)
+					dst := make([]uint32, n)
+					for i := range dst {
+						dst[i] = uint32((first + i) % workers)
+					}
+					got, want := make([]*Batch, workers), make([]*Batch, workers)
+					b.Deal(first, got)
+					b.Scatter(dst, want)
+					dealt := 0
+					for d := range got {
+						if (got[d] == nil) != (want[d] == nil) {
+							t.Fatalf("%s workers=%d n=%d first=%d: destination %d builder presence differs",
+								name, workers, n, first, d)
+						}
+						if got[d] == nil {
+							continue
+						}
+						dealt++
+						if !reflect.DeepEqual(got[d].Col().Slice(), want[d].Col().Slice()) {
+							t.Fatalf("%s workers=%d n=%d first=%d: destination %d = %v, want %v",
+								name, workers, n, first, d, got[d].Col().Slice(), want[d].Col().Slice())
+						}
+						got[d].Release()
+						want[d].Release()
+					}
+					if want := min(n, workers); dealt != want {
+						t.Fatalf("%s workers=%d n=%d first=%d: %d destinations got records, want %d",
+							name, workers, n, first, dealt, want)
+					}
+					b.Release()
+				}
+			}
+		}
+	}
+}
+
 // A pooled column of a pointer-free type is recycled without zeroing; one
 // that holds pointers is still cleared (TestColReleaseClearsData).
 func TestPointerFree(t *testing.T) {
@@ -290,6 +365,8 @@ func TestPointerFree(t *testing.T) {
 // BenchmarkScatter is the exchange's scatter step, ns per record, at the
 // two shapes the end-to-end benchmark has: a few records per batch
 // (loop_tcp) and a full batch (keycount), against the loop it replaced.
+// "deal" is the input's round-robin Deal over the same column, which needs
+// no destination array.
 func BenchmarkScatter(b *testing.B) {
 	for _, peers := range []int{2, 3} {
 		for _, n := range []int{4, 16384} {
@@ -301,6 +378,7 @@ func BenchmarkScatter(b *testing.B) {
 			}
 			for name, scatter := range map[string]func(*Batch, []uint32, []*Batch){
 				"kernel": (*Batch).Scatter, "loop": scatterByRecord,
+				"deal": func(b *Batch, _ []uint32, subs []*Batch) { b.Deal(0, subs) },
 			} {
 				b.Run(fmt.Sprintf("peers=%d/n=%d/%s", peers, n, name), func(b *testing.B) {
 					subs := make([]*Batch, peers)

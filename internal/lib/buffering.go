@@ -65,7 +65,8 @@ func UnaryBufferStateful[A, B any](s *Stream[A], name string, part func(A) uint6
 // nil to use gob for R.
 func GroupBy[A any, K comparable, R any](s *Stream[A], key func(A) K,
 	reduce func(K, []A) []R, cod codec.Codec) *Stream[R] {
-	part := func(a A) uint64 { return Hash(key(a)) }
+	hk := hasherFor[K]()
+	part := func(a A) uint64 { return hk(key(a)) }
 	return UnaryBuffer[A, R](s, "GroupBy", part, func(_ ts.Timestamp, recs []A, emit func(R)) {
 		groups := make(map[K][]A)
 		var order []K
@@ -91,47 +92,42 @@ func FoldByKey[K comparable, V any, S any](s *Stream[Pair[K, V]],
 	c := s.scope.C
 	st := c.AddStage("FoldByKey", graph.RoleNormal, s.depth, func(ctx *runtime.Context) runtime.Vertex {
 		// Per time: the folded pairs, dense and in first-seen order, and each
-		// key's index into them — so a key already seen costs one map probe.
+		// key's index into them — so a key already seen costs one probe.
 		// A completed time's state is emptied and reused by the next.
 		type epochState struct {
-			idx map[K]int32
+			idx *keyIndex[K]
 			out []Pair[K, S]
 		}
 		states := make(map[ts.Timestamp]*epochState)
 		var free []*epochState
 		pool := batchbuf.PoolFor[Pair[K, S]]()
+		hash := nativeHasher[K]() // chosen once: the index's backing
 		get := func(t ts.Timestamp) *epochState {
 			es := states[t]
 			if es == nil {
 				if n := len(free); n > 0 {
 					es, free = free[n-1], free[:n-1]
 				} else {
-					es = &epochState{idx: make(map[K]int32)}
+					es = &epochState{idx: newKeyIndex(hash)}
 				}
 				states[t] = es
 				ctx.NotifyAt(t)
 			}
 			return es
 		}
-		one := func(es *epochState, rec Pair[K, V]) {
-			i, ok := es.idx[rec.Key]
-			if !ok {
-				i = int32(len(es.out))
-				es.idx[rec.Key] = i
-				es.out = append(es.out, Pair[K, S]{Key: rec.Key, Val: init(rec.Key)})
-			}
-			es.out[i].Val = fold(es.out[i].Val, rec.Val)
-		}
 		return &batchVertexOf[Pair[K, V]]{
 			vertexOf: vertexOf[Pair[K, V]]{
-				recv: func(_ int, rec Pair[K, V], t ts.Timestamp) { one(get(t), rec) },
+				recv: func(_ int, rec Pair[K, V], t ts.Timestamp) {
+					es := get(t)
+					es.out = foldInto(es.idx, es.out, []Pair[K, V]{rec}, init, fold)
+				},
 				notify: func(t ts.Timestamp) {
 					es := states[t]
 					delete(states, t)
 					out, col := pool.Get(len(es.out))
 					col.Data = append(col.Data, es.out...)
 					ctx.SendBatchBy(0, out, t)
-					clear(es.idx)
+					es.idx.reset()
 					clear(es.out)
 					es.out = es.out[:0]
 					free = append(free, es)
@@ -139,14 +135,111 @@ func FoldByKey[K comparable, V any, S any](s *Stream[Pair[K, V]],
 			},
 			recvBatch: func(_ int, data []Pair[K, V], _ *runtime.Batch, t ts.Timestamp) {
 				es := get(t)
-				for _, rec := range data {
-					one(es, rec)
-				}
+				es.out = foldInto(es.idx, es.out, data, init, fold)
 			},
 		}
 	})
 	connect(c, s.stage, s.port, st, pairHasher[K, V](), s.cod)
 	return &Stream[Pair[K, S]]{scope: s.scope, stage: st, port: 0, cod: orGob[Pair[K, S]](cod), depth: s.depth}
+}
+
+// keyIndex maps each key of one time to its index in FoldByKey's folded
+// pairs. A key type with a native hash (nativeHasher) probes an
+// open-addressing table: a power-of-two slot array, linear probing from the
+// hash's top bits, grown at half load. (The exchange placed the records by
+// the same hash's low bits, so a table indexed by those would use one slot
+// in peers.) Any other key keeps a Go map, because the gob fallback hash
+// would make every probe far slower than the map's.
+type keyIndex[K comparable] struct {
+	hash  func(K) uint64 // nil: m backs the index
+	slots []keySlot[K]
+	shift uint // 64 - log2(len(slots))
+	m     map[K]int32
+}
+
+// keySlot holds a key beside its index, so a probe compares keys without a
+// dependent load from the folded pairs.
+type keySlot[K comparable] struct {
+	key K
+	pos int32 // index + 1; 0 marks an empty slot
+}
+
+const keySlotsLog = 6 // a new table's 64 slots
+
+func newKeyIndex[K comparable](hash func(K) uint64) *keyIndex[K] {
+	if hash == nil {
+		return &keyIndex[K]{m: make(map[K]int32)}
+	}
+	return &keyIndex[K]{hash: hash, slots: make([]keySlot[K], 1<<keySlotsLog), shift: 64 - keySlotsLog}
+}
+
+// foldInto folds data into out — a time's folded pairs, dense, in
+// first-seen key order and indexed by ix — and returns out; init runs once
+// per new key. The table probe is written into the loop, so a key already
+// seen costs its hash, its probe and the fold, with no call into the index.
+func foldInto[K comparable, V, S any](ix *keyIndex[K], out []Pair[K, S], data []Pair[K, V],
+	init func(K) S, fold func(S, V) S) []Pair[K, S] {
+	for _, rec := range data {
+		i, found := int32(0), false
+		if ix.m != nil {
+			i, found = ix.m[rec.Key]
+		} else {
+			mask := uint64(len(ix.slots) - 1)
+			for j := ix.hash(rec.Key) >> ix.shift; ix.slots[j].pos != 0; j = (j + 1) & mask {
+				if s := &ix.slots[j]; s.key == rec.Key {
+					i, found = s.pos-1, true
+					break
+				}
+			}
+		}
+		if !found {
+			i = int32(len(out))
+			ix.add(rec.Key, i)
+			out = append(out, Pair[K, S]{Key: rec.Key, Val: init(rec.Key)})
+		}
+		out[i].Val = fold(out[i].Val, rec.Val)
+	}
+	return out
+}
+
+// add records that k, absent, is at index i — the number of keys the index
+// already holds — growing the table first when it would pass half load.
+func (ix *keyIndex[K]) add(k K, i int32) {
+	if ix.m != nil {
+		ix.m[k] = i
+		return
+	}
+	if 2*int(i+1) > len(ix.slots) {
+		ix.grow()
+	}
+	ix.put(keySlot[K]{key: k, pos: i + 1})
+}
+
+// grow doubles the table and re-inserts every key.
+func (ix *keyIndex[K]) grow() {
+	old := ix.slots
+	ix.slots, ix.shift = make([]keySlot[K], 2*len(old)), ix.shift-1
+	for _, s := range old {
+		if s.pos != 0 {
+			ix.put(s)
+		}
+	}
+}
+
+// put stores s in the first free slot of its key's probe sequence.
+func (ix *keyIndex[K]) put(s keySlot[K]) {
+	mask := uint64(len(ix.slots) - 1)
+	j := ix.hash(s.key) >> ix.shift
+	for ix.slots[j].pos != 0 {
+		j = (j + 1) & mask
+	}
+	ix.slots[j] = s
+}
+
+// reset empties the index for the next time, keeping its table's size.
+func (ix *keyIndex[K]) reset() {
+	clear(ix.m)
+	clear(ix.slots)
 }
 
 // Count counts occurrences of each record at each time (Figure 4's

@@ -15,6 +15,15 @@ func Hash[K comparable](k K) uint64 { return hasherFor[K]()(k) }
 // hasherFor picks K's hash from the type alone, so a connector chooses it
 // once and then hashes every key without boxing it.
 func hasherFor[K comparable]() func(K) uint64 {
+	if h := nativeHasher[K](); h != nil {
+		return h
+	}
+	return hashGob[K]
+}
+
+// nativeHasher is K's hash when K is one of the key types with a direct
+// hash, and nil for a key that only the gob fallback can hash.
+func nativeHasher[K comparable]() func(K) uint64 {
 	var h any
 	switch any(*new(K)).(type) {
 	case int:
@@ -30,7 +39,7 @@ func hasherFor[K comparable]() func(K) uint64 {
 	case string:
 		h = hashString
 	default:
-		return hashGob[K]
+		return nil
 	}
 	return h.(func(K) uint64)
 }
@@ -76,7 +85,26 @@ func mix64(x uint64) uint64 {
 
 // pairHasher hashes a Pair by its key — the exchange function of keyed
 // operators — with the key's hash chosen once, at connector construction.
+// A native key type gets a hasher of its own, so hashing a pair is one call,
+// not a call to the pair's hasher and another to the key's.
 func pairHasher[K comparable, V any]() func(Pair[K, V]) uint64 {
-	hk := hasherFor[K]()
-	return func(p Pair[K, V]) uint64 { return hk(p.Key) }
+	var h any
+	switch any(*new(K)).(type) {
+	case int:
+		h = func(p Pair[int, V]) uint64 { return mix64(uint64(p.Key)) }
+	case int32:
+		h = func(p Pair[int32, V]) uint64 { return mix64(uint64(p.Key)) }
+	case int64:
+		h = func(p Pair[int64, V]) uint64 { return mix64(uint64(p.Key)) }
+	case uint32:
+		h = func(p Pair[uint32, V]) uint64 { return mix64(uint64(p.Key)) }
+	case uint64:
+		h = func(p Pair[uint64, V]) uint64 { return mix64(p.Key) }
+	case string:
+		h = func(p Pair[string, V]) uint64 { return hashString(p.Key) }
+	default:
+		hk := hashGob[K]
+		return func(p Pair[K, V]) uint64 { return hk(p.Key) }
+	}
+	return h.(func(Pair[K, V]) uint64)
 }

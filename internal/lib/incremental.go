@@ -59,7 +59,8 @@ func DiffSelectMany[A, B any](s *Stream[Diff[A]], f func(A) []B, cod codec.Codec
 // Consolidate combines same-record diffs within each epoch and drops
 // cancelled ones, reducing downstream work.
 func Consolidate[A comparable](s *Stream[Diff[A]]) *Stream[Diff[A]] {
-	part := func(d Diff[A]) uint64 { return Hash(d.Rec) }
+	hk := hasherFor[A]()
+	part := func(d Diff[A]) uint64 { return hk(d.Rec) }
 	return UnaryBuffer[Diff[A], Diff[A]](s, "Consolidate", part,
 		func(_ ts.Timestamp, recs []Diff[A], emit func(Diff[A])) {
 			sums := make(map[A]int64, len(recs))
@@ -83,7 +84,8 @@ func Consolidate[A comparable](s *Stream[Diff[A]]) *Stream[Diff[A]] {
 // and -1 when it returns to zero — the incremental Distinct. State
 // persists across epochs; epochs are processed in order.
 func DiffDistinct[A comparable](s *Stream[Diff[A]]) *Stream[Diff[A]] {
-	part := func(d Diff[A]) uint64 { return Hash(d.Rec) }
+	hk := hasherFor[A]()
+	part := func(d Diff[A]) uint64 { return hk(d.Rec) }
 	return UnaryBufferStateful[Diff[A], Diff[A]](s, "DiffDistinct", part, func() func(ts.Timestamp, []Diff[A], func(Diff[A])) {
 		mult := make(map[A]int64)
 		return func(_ ts.Timestamp, recs []Diff[A], emit func(Diff[A])) {
@@ -122,7 +124,8 @@ func DiffDistinct[A comparable](s *Stream[Diff[A]]) *Stream[Diff[A]] {
 // epoch: a deletion of the old (key, count) pair and an insertion of the
 // new one — §4.1's incrementally updatable reduction.
 func DiffCount[K comparable](s *Stream[Diff[K]], cod codec.Codec) *Stream[Diff[Pair[K, int64]]] {
-	part := func(d Diff[K]) uint64 { return Hash(d.Rec) }
+	hk := hasherFor[K]()
+	part := func(d Diff[K]) uint64 { return hk(d.Rec) }
 	return UnaryBufferStateful[Diff[K], Diff[Pair[K, int64]]](s, "DiffCount", part, func() func(ts.Timestamp, []Diff[K], func(Diff[Pair[K, int64]])) {
 		counts := make(map[K]int64)
 		return func(_ ts.Timestamp, recs []Diff[K], emit func(Diff[Pair[K, int64]])) {
@@ -179,11 +182,12 @@ func DiffJoin[K comparable, A, B, R any](a *Stream[Diff[Pair[K, A]]], b *Stream[
 			buf:   make(map[ts.Timestamp]*diffJoinPending[K, A, B]),
 		}
 	})
+	hk := hasherFor[K]()
 	connect(c, a.stage, a.port, st, func(m Diff[Pair[K, A]]) uint64 {
-		return Hash(m.Rec.Key)
+		return hk(m.Rec.Key)
 	}, a.cod)
 	connect(c, b.stage, b.port, st, func(m Diff[Pair[K, B]]) uint64 {
-		return Hash(m.Rec.Key)
+		return hk(m.Rec.Key)
 	}, b.cod)
 	return &Stream[Diff[R]]{scope: a.scope, stage: st, port: 0, cod: orGob[Diff[R]](cod), depth: a.depth}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"naiad/internal/batchbuf"
 	"naiad/internal/codec"
 	"naiad/internal/graph"
 	"naiad/internal/progress"
@@ -20,29 +21,43 @@ import (
 // the destination vertex co-located with the sender.
 type Partitioner func(Message) uint64
 
-// BatchPartitioner is the vectorized form: it hashes a whole record column
-// (a []T, as stored in a typed batch) into dst in one call, without boxing
-// each record. It reports false when the column's element type is foreign —
-// the router then falls back to the boxed Partitioner per record. dst has
-// exactly the column's length. Both partitioners of a connector must agree
-// on every record's hash.
-type BatchPartitioner func(col any, dst []uint64) bool
+// BatchPartitioner is the vectorized form: in one typed pass over a batch's
+// column it fills dst (exactly b.Len() entries) with each record's
+// destination — its hash mod peers — and reports whether every record has
+// the same one. It reports ok false, leaving dst undefined, when the
+// column's element type is foreign: the router then falls back to the boxed
+// Partitioner per record. Both partitioners of a connector must agree on
+// every record's hash.
+type BatchPartitioner func(b *batchbuf.Batch, peers int, dst []uint32) (same, ok bool)
 
 // TypedPartitioner builds the boxed and vectorized partitioners of a
-// connector from one typed hash function, guaranteeing they agree.
+// connector from one typed hash function, guaranteeing they agree; the
+// vectorized one reads the []T column unboxed, calling h once per record.
 func TypedPartitioner[T any](h func(T) uint64) (Partitioner, BatchPartitioner) {
 	part := func(m Message) uint64 { return h(m.(T)) }
-	bpart := func(col any, dst []uint64) bool {
-		data, ok := col.([]T)
+	bpart := func(b *batchbuf.Batch, peers int, dst []uint32) (same, ok bool) {
+		data, ok := batchbuf.Data[T](b)
 		if !ok {
-			return false
+			return false, false
 		}
+		dst = dst[:len(data)]
+		var diff uint32
 		for i, v := range data {
-			dst[i] = h(v)
+			dst[i] = bucket(h(v), peers)
+			diff |= dst[i] ^ dst[0]
 		}
-		return true
+		return diff == 0, true
 	}
 	return part, bpart
+}
+
+// bucket reduces a record's hash to one of peers destinations: h mod peers,
+// by a mask when peers is a power of two.
+func bucket(h uint64, peers int) uint32 {
+	if p := uint64(peers); p&(p-1) == 0 {
+		return uint32(h & (p - 1))
+	}
+	return uint32(h % uint64(peers))
 }
 
 // StageID identifies a stage of a Computation (aliasing the logical graph's
@@ -218,10 +233,10 @@ func (c *Computation) Connect(src StageID, srcPort int, dst StageID, part Partit
 }
 
 // ConnectBatch is Connect with an optional vectorized partitioner: when a
-// whole typed batch crosses the connector, bpart hashes the column in one
-// call instead of boxing each record through part. bpart may be nil; when
-// set, part must still be provided (it remains the fallback for boxed
-// batches) and must agree with bpart on every record.
+// whole typed batch crosses the connector, bpart computes its records'
+// destinations in one pass instead of boxing each record through part.
+// bpart may be nil; when set, part must still be provided (it remains the
+// fallback for boxed batches) and must agree with bpart on every record.
 func (c *Computation) ConnectBatch(src StageID, srcPort int, dst StageID, part Partitioner, bpart BatchPartitioner, cod codec.Codec) int {
 	if c.started {
 		panic("runtime: Connect after Start")

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"naiad/internal/batchbuf"
@@ -11,7 +10,7 @@ import (
 
 // Input is the handle an external producer uses to supply epochs of data
 // (§2.1, §4.1). Input stages have one vertex per worker; records are
-// scattered round-robin unless directed with SendToWorker. An Input is safe
+// dealt round-robin unless directed with SendToWorker. An Input is safe
 // for use by one producer goroutine.
 type Input struct {
 	comp  *Computation
@@ -20,8 +19,7 @@ type Input struct {
 	mu     sync.Mutex
 	epoch  int64
 	closed bool
-	rr     int      // round-robin cursor for Send
-	dsts   []uint32 // planSendBatch's destination scratch
+	rr     int // round-robin cursor for Send
 }
 
 // NewInput adds an input stage and returns its handle. Records introduced
@@ -47,7 +45,7 @@ func (in *Input) Epoch() int64 {
 	return in.epoch
 }
 
-// Send introduces records into the current epoch, scattering them
+// Send introduces records into the current epoch, dealing them
 // round-robin across the workers. The records travel as one batch (see
 // BatchOf); the caller keeps its slice.
 func (in *Input) Send(records ...Message) { in.SendBatch(BatchOf(records)) }
@@ -72,7 +70,7 @@ func BatchOf(records []Message) *batchbuf.Batch {
 
 // SendBatch introduces a whole batch into the current epoch, consuming one
 // reference to b. With one worker the batch is handed over intact; with
-// several it is scattered, continuing Send's round-robin cursor, into
+// several it is dealt, continuing Send's round-robin cursor, into
 // per-worker builder batches of the same column type.
 func (in *Input) SendBatch(b *batchbuf.Batch) {
 	per, epoch := in.planSendBatch(b)
@@ -92,13 +90,13 @@ func (in *Input) SendBatch(b *batchbuf.Batch) {
 	b.Release()
 }
 
-// planSendBatch scatters under the lock and snapshots the epoch the records
+// planSendBatch deals under the lock and snapshots the epoch the records
 // belong to. The mailbox pushes happen after the lock is released: a mailbox
 // handoff acquires the receiving worker's own mutex, and holding in.mu
 // across it would couple the producer's and the worker's lock orders
 // through the scheduler. The single-producer contract keeps the plan and
 // the pushes consistent. It returns a nil slice in the single-worker case,
-// where no scatter is needed.
+// where no deal is needed.
 func (in *Input) planSendBatch(b *batchbuf.Batch) ([]*batchbuf.Batch, int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -107,17 +105,9 @@ func (in *Input) planSendBatch(b *batchbuf.Batch) ([]*batchbuf.Batch, int64) {
 	if workers == 1 {
 		return nil, in.epoch
 	}
-	in.dsts = slices.Grow(in.dsts[:0], b.Len())[:b.Len()]
-	w := in.rr % workers
-	for i := range in.dsts {
-		in.dsts[i] = uint32(w)
-		if w++; w == workers {
-			w = 0
-		}
-	}
-	in.rr += b.Len()
 	per := make([]*batchbuf.Batch, workers)
-	b.Scatter(in.dsts, per)
+	b.Deal(in.rr%workers, per)
+	in.rr += b.Len()
 	return per, in.epoch
 }
 

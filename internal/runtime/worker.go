@@ -157,8 +157,8 @@ type worker struct {
 	// produces (the old per-frame codec.NewEncoder with its undersized
 	// capacity guess was a steady allocation-and-grow tax on the hot path).
 	// scratchBox is the boxing spill for codecs without a typed column path;
-	// hashes and dsts are routeBatch's hash and destination buffers (fully
-	// consumed before any delivery can recurse, so one of each suffices).
+	// dsts is routeBatch's destination buffer (fully consumed before any
+	// delivery can recurse, so one suffices).
 	// scatter is a STACK of per-destination builder tables indexed by
 	// scatterDepth: routeBatch's dispatch loop delivers synchronously and
 	// can re-enter routeBatch (feedback cycles, reentrant vertices), so each
@@ -168,7 +168,6 @@ type worker struct {
 	scratchBox   []Message
 	scatter      [][]*batchbuf.Batch
 	scatterDepth int
-	hashes       []uint64
 	dsts         []uint32
 	flushKeys    []outKey // flushData's key scratch
 
@@ -898,11 +897,11 @@ func widen(cur *batchbuf.Batch, extra int) *batchbuf.Batch {
 
 // routeBatch routes a whole batch on one connector, consuming one reference
 // to b. Unpartitioned (or single-peer) connectors forward the batch intact;
-// partitioned ones hash every record — through the connector's batch
-// partitioner when it has one, else the boxed per-record partitioner — and
-// scatter into per-destination builder batches, unless every record has
-// the same destination: then the batch goes there intact, as a one-record
-// session always does.
+// partitioned ones compute every record's destination — in one typed pass
+// through the connector's batch partitioner when it has one, else through
+// the boxed per-record partitioner — and scatter into per-destination
+// builder batches, unless every record has the same destination: then the
+// batch goes there intact, as a one-record session always does.
 func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch, t ts.Timestamp) {
 	n := b.Len()
 	if n == 0 {
@@ -924,27 +923,23 @@ func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch,
 		w.routeBatchTo(vsSrc.vertexIdx, ci, b, dstVertex, t)
 		return
 	}
-	// Vectorized exchange: hash the whole batch, reduce the hashes to
-	// destinations, then scatter. The hash and destination buffers and the
-	// builder table are worker scratch, reused across calls.
-	w.hashes, w.dsts = slices.Grow(w.hashes[:0], n)[:n], slices.Grow(w.dsts[:0], n)[:n]
-	hashes, dsts := w.hashes, w.dsts
-	if ci.bpart == nil || !ci.bpart(b.Col().Slice(), hashes) {
-		for i := 0; i < n; i++ {
-			hashes[i] = ci.part(b.Record(i))
+	// Vectorized exchange: one pass computes the destinations (into worker
+	// scratch, like the builder table), then the batch is scattered.
+	w.dsts = slices.Grow(w.dsts[:0], n)[:n]
+	dsts := w.dsts
+	same, ok := false, false
+	if ci.bpart != nil {
+		same, ok = ci.bpart(b, peers, dsts)
+	}
+	if !ok { // a foreign column, or a connector without a batch partitioner
+		same = true
+		for i := range dsts {
+			dsts[i] = bucket(ci.part(b.Record(i)), peers)
+			same = same && dsts[i] == dsts[0]
 		}
 	}
-	if mask := uint64(peers - 1); uint64(peers)&mask == 0 {
-		for i, h := range hashes {
-			dsts[i] = uint32(h & mask) // == h % peers
-		}
-	} else {
-		for i, h := range hashes {
-			dsts[i] = uint32(h % uint64(peers))
-		}
-	}
-	if d := dsts[0]; !slices.ContainsFunc(dsts[1:], func(x uint32) bool { return x != d }) {
-		w.routeBatchTo(vsSrc.vertexIdx, ci, b, int(d), t)
+	if same {
+		w.routeBatchTo(vsSrc.vertexIdx, ci, b, int(dsts[0]), t)
 		return
 	}
 	if w.scatterDepth == len(w.scatter) {
