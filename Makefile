@@ -97,7 +97,7 @@ soak:
 		seed=$$((20130101 + i)); \
 		echo "== soak iteration $$i/$(SOAK_ITERS) (NAIAD_TEST_SEED=$$seed) =="; \
 		NAIAD_TEST_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestSupervisor|TestSupervisedChaosCrashRecovery|TestChaosCrashThenCheckpointRecovery|TestChaosPartitionWatchdogAbortThenReplayRecovery|TestHeartbeat' \
+			-run 'TestSupervisor|TestSupervisedChaosCrashRecovery|TestChaosCrashThenCheckpointRecovery|TestChaosPartitionWatchdogAbortThenReplayRecovery|TestLostFrameAbortsComputation|TestSinkExactlyOnceAcrossLostFrame|TestTCPDeadLink|TestTCPSocketDeath|TestTCPCorruptHeader|TestTCPCloseDuringConcurrentSend' \
 			./internal/supervise/ ./internal/kexposure/ ./internal/runtime/ ./internal/transport/; \
 	done
 

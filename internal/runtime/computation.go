@@ -11,7 +11,6 @@ import (
 	"naiad/internal/graph"
 	"naiad/internal/progress"
 	ts "naiad/internal/timestamp"
-	"naiad/internal/trace"
 	"naiad/internal/transport"
 )
 
@@ -314,47 +313,14 @@ func (c *Computation) Start() error {
 	switch {
 	case c.cfg.Transport != nil:
 		c.trans = c.cfg.Transport
-		// A fault-injecting transport reports peer deaths; surface them as
-		// an abort (error from Join) instead of a silent hang on frames
-		// that will never arrive.
-		if ch, ok := c.trans.(*transport.Chaos); ok {
-			ch.SetOnCrash(func(proc int) {
-				c.fail(fmt.Errorf("runtime: process %d crashed (chaos fault injection): aborting surviving workers", proc))
-			})
-		}
 	case c.cfg.UseTCP:
-		var topts transport.TCPOptions
-		if tr := c.cfg.Tracer; tr != nil {
-			// Frame drops bypass the Observed wrapper (they never reach a
-			// send callback), so the transport reports them directly.
-			topts.OnDrop = func(kind transport.Kind, n int) {
-				tr.Emit(trace.Event{
-					Kind: trace.EvFrameDrop, Aux: int32(kind), Worker: -1,
-					Stage: -1, Loc: -1, Epoch: -1, N: int64(n),
-				})
-			}
-		}
-		t, err := transport.NewTCPLoopbackOpts(c.cfg.Processes, topts)
+		t, err := transport.NewTCPLoopback(c.cfg.Processes)
 		if err != nil {
 			return err
 		}
 		c.trans = t
 	default:
 		c.trans = transport.NewMem(c.cfg.Processes)
-	}
-	if c.cfg.Heartbeat > 0 {
-		hb := transport.NewHeartbeats(c.trans, transport.HeartbeatConfig{
-			Interval: c.cfg.Heartbeat,
-			Timeout:  c.cfg.HeartbeatTimeout,
-		})
-		hb.SetOnSuspect(func(suspect int, silence time.Duration) {
-			c.fail(fmt.Errorf("runtime: heartbeat detector suspects process %d after %v of silence", suspect, silence))
-		})
-		if c.recovery != nil {
-			rm := c.recovery
-			hb.SetOnMiss(func() { rm.HeartbeatMisses.Add(1) })
-		}
-		c.trans = hb
 	}
 	if tr := c.cfg.Tracer; tr != nil {
 		if err := c.attachTracer(tr); err != nil {
@@ -408,6 +374,13 @@ func (c *Computation) Start() error {
 	for p := 0; p < c.cfg.Processes; p++ {
 		proc := c.procs[p]
 		c.trans.SetHandler(p, proc.onFrame)
+	}
+	// A transport that can lose a frame it accepted (a dead or corrupt TCP
+	// link, a chaos crash) reports it; the loss aborts the computation
+	// with an error from Join instead of a hang on frames that will never
+	// arrive. Installed once the workers exist, which c.fail closes.
+	if fr, ok := c.trans.(transport.FailReporter); ok {
+		fr.SetOnFail(c.fail)
 	}
 	for _, w := range c.workers {
 		c.workerWG.Add(1)
@@ -516,7 +489,7 @@ func (c *Computation) Err() error {
 // SetRecoveryMetrics attaches shared fault-tolerance counters. The
 // supervisor passes the same instance to every incarnation of a
 // computation, so restart and checkpoint counts survive teardown. Must be
-// called before Start (the heartbeat detector binds to it there).
+// called before Start.
 func (c *Computation) SetRecoveryMetrics(rm *RecoveryMetrics) {
 	if c.started {
 		panic("runtime: SetRecoveryMetrics after Start")

@@ -84,18 +84,6 @@ type Config struct {
 	// interactive computations that may legitimately sit idle between
 	// epochs.
 	Watchdog time.Duration
-	// Heartbeat, when positive, wraps the transport in a deadline-based
-	// failure detector (transport.Heartbeats): every process beats every
-	// other at this interval, and a peer whose links go silent past
-	// HeartbeatTimeout is suspected, aborting the computation with an error
-	// from Join. Complementary to Watchdog: the watchdog notices a stalled
-	// computation, the heartbeat detector notices a dead peer even while
-	// the survivors still look busy.
-	Heartbeat time.Duration
-	// HeartbeatTimeout is the silence after which a peer is suspected;
-	// zero defaults to 4×Heartbeat. Keep it several intervals wide so one
-	// delayed beat is not mistaken for a death.
-	HeartbeatTimeout time.Duration
 	// BatchSize caps records per exchange batch; 0 means the default 1024.
 	BatchSize int
 	// MaxReentrancy bounds synchronous re-entrant delivery into a vertex

@@ -28,9 +28,8 @@ type MetricsSnapshot struct {
 	ProgressFrames int64
 	ProgressBytes  int64
 	// DroppedFrames counts frames (all kinds) the transport accepted but
-	// never delivered — reconnect-queue overflow, dead links, exhausted
-	// retry budgets. Nonzero means the failure detector has (or will have)
-	// something to say; it must never be silently zero-by-omission.
+	// never delivered, such as sends on a dead TCP link (which also fail
+	// the computation) or sends racing the transport's Close.
 	DroppedFrames int64
 	LoggedBatches int64
 	Recovery      RecoverySnapshot // zero unless RecoveryMetrics are attached
@@ -50,9 +49,6 @@ type RecoveryMetrics struct {
 	// LastRecoveryNanos is the duration of the most recent recovery, from
 	// failure detection to the replayed computation catching up.
 	LastRecoveryNanos atomic.Int64
-	// HeartbeatMisses counts overdue heartbeat deadlines observed by the
-	// failure detector (one per overdue link per sweep).
-	HeartbeatMisses atomic.Int64
 	// Cuts counts completed asynchronous-barrier snapshot cuts; CutBytes
 	// sums their serialized sizes; CutAborts counts cuts abandoned because
 	// a marker was lost, duplicated, or reordered (or a worker crashed
@@ -72,7 +68,6 @@ func (r *RecoveryMetrics) Snapshot() RecoverySnapshot {
 		CheckpointBytes:   r.CheckpointBytes.Load(),
 		Restarts:          r.Restarts.Load(),
 		LastRecovery:      time.Duration(r.LastRecoveryNanos.Load()),
-		HeartbeatMisses:   r.HeartbeatMisses.Load(),
 		Cuts:              r.Cuts.Load(),
 		CutBytes:          r.CutBytes.Load(),
 		CutAborts:         r.CutAborts.Load(),
@@ -86,7 +81,6 @@ type RecoverySnapshot struct {
 	CheckpointBytes int64
 	Restarts        int64
 	LastRecovery    time.Duration
-	HeartbeatMisses int64
 
 	Cuts              int64
 	CutBytes          int64
@@ -106,9 +100,9 @@ func (m *MetricsSnapshot) String() string {
 	if m.DroppedFrames > 0 {
 		fmt.Fprintf(&sb, "transport: %d frames DROPPED\n", m.DroppedFrames)
 	}
-	if r := m.Recovery; r.Checkpoints > 0 || r.Restarts > 0 || r.HeartbeatMisses > 0 {
-		fmt.Fprintf(&sb, "recovery: %d checkpoints / %d bytes, %d restarts (last recovery %v), %d heartbeat misses\n",
-			r.Checkpoints, r.CheckpointBytes, r.Restarts, r.LastRecovery, r.HeartbeatMisses)
+	if r := m.Recovery; r.Checkpoints > 0 || r.Restarts > 0 {
+		fmt.Fprintf(&sb, "recovery: %d checkpoints / %d bytes, %d restarts (last recovery %v)\n",
+			r.Checkpoints, r.CheckpointBytes, r.Restarts, r.LastRecovery)
 	}
 	if r := m.Recovery; r.Cuts > 0 || r.CutAborts > 0 || r.SelectiveRevivals > 0 {
 		fmt.Fprintf(&sb, "barriers: %d cuts / %d bytes, %d aborted, %d selective revivals\n",

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,49 +103,65 @@ func TestSnapshotFramingRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestHeartbeatSuspicionAbortsComputation wires Config.Heartbeat through a
-// chaos transport hidden behind an opaque wrapper (so the runtime's
-// *transport.Chaos crash callback cannot fire and only the heartbeat
-// detector can notice): crashing a process must abort the computation with
-// a heartbeat suspicion from Join instead of hanging.
-func TestHeartbeatSuspicionAbortsComputation(t *testing.T) {
-	ct := transport.NewChaos(transport.NewMem(3), transport.ChaosConfig{Seed: testutil.Seed(t)})
-	cfg := Config{Processes: 3, WorkersPerProcess: 1, Accumulation: AccLocalGlobal,
-		Transport: opaque{ct}, Heartbeat: 2 * time.Millisecond, HeartbeatTimeout: 30 * time.Millisecond}
-	rm := &RecoveryMetrics{}
+// lossyTransport stands in for a TCP link that dies: it drops the first
+// cross-process frame of one kind and reports the loss through SetOnFail,
+// the way TCP reports a dead or corrupt link.
+type lossyTransport struct {
+	transport.Transport
+	kind   transport.Kind
+	once   sync.Once
+	onFail func(error)
+}
+
+func (l *lossyTransport) SetOnFail(f func(error)) { l.onFail = f }
+
+func (l *lossyTransport) Send(from, to int, kind transport.Kind, payload []byte) {
+	lost := false
+	if from != to && kind == l.kind {
+		l.once.Do(func() { lost = true })
+	}
+	if !lost {
+		l.Transport.Send(from, to, kind, payload)
+		return
+	}
+	l.Stats().CountDrops(kind, 1)
+	if l.onFail != nil {
+		l.onFail(&transport.LinkError{From: from, To: to, Err: errors.New("frame lost")})
+	}
+}
+
+// TestLostFrameAbortsComputation: a frame the transport accepted but lost
+// must abort the computation with the transport's error from Join, not
+// leave the survivors waiting for progress that will never arrive.
+func TestLostFrameAbortsComputation(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tr := &lossyTransport{Transport: transport.NewMem(2), kind: transport.KindProgress}
+	cfg := Config{Processes: 2, WorkersPerProcess: 1, Accumulation: AccLocalGlobal, Transport: tr}
 	c, in, _, _ := buildCounterCfg(t, cfg)
-	c.SetRecoveryMetrics(rm)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
 	in.OnNext(int64(1), int64(2))
-	ct.Crash(2)
 	in.Close() // dropped by closed mailboxes after the abort; must not panic
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- c.Join() }()
 	select {
 	case err := <-errCh:
-		if err == nil || !strings.Contains(err.Error(), "heartbeat") {
-			t.Fatalf("Join = %v, want a heartbeat suspicion", err)
+		var le *transport.LinkError
+		if !errors.As(err, &le) {
+			t.Fatalf("Join = %v, want the transport's *LinkError", err)
 		}
-		if !c.Failed() || c.Err() == nil {
+		if !c.Failed() || c.Err() != err {
 			t.Fatal("Failed()/Err() do not reflect the abort")
 		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("Join hung; heartbeat detector never fired")
+	case <-time.After(5 * time.Second):
+		t.Fatal("Join hung on a lost frame")
 	}
-	if rm.HeartbeatMisses.Load() == 0 {
-		t.Fatal("heartbeat misses not recorded in recovery metrics")
-	}
-	if got := c.Metrics().Recovery.HeartbeatMisses; got == 0 {
-		t.Fatal("metrics snapshot missing heartbeat misses")
+	if got := c.Metrics().DroppedFrames; got != 1 {
+		t.Fatalf("DroppedFrames = %d, want 1", got)
 	}
 }
-
-// opaque hides a transport's concrete type from the runtime's type
-// asserts, so tests can isolate one failure-detection path.
-type opaque struct{ transport.Transport }
 
 // TestRecoveryMetricsSurface: counters attached via SetRecoveryMetrics
 // must flow into MetricsSnapshot and its rendered table.
@@ -154,7 +171,6 @@ func TestRecoveryMetricsSurface(t *testing.T) {
 	rm.CheckpointBytes.Store(4096)
 	rm.Restarts.Store(2)
 	rm.LastRecoveryNanos.Store(int64(250 * time.Millisecond))
-	rm.HeartbeatMisses.Store(9)
 	c, in, _, _ := buildCounter(t)
 	c.SetRecoveryMetrics(rm)
 	if err := c.Start(); err != nil {
@@ -166,7 +182,7 @@ func TestRecoveryMetricsSurface(t *testing.T) {
 	}
 	got := c.Metrics().Recovery
 	want := RecoverySnapshot{Checkpoints: 3, CheckpointBytes: 4096, Restarts: 2,
-		LastRecovery: 250 * time.Millisecond, HeartbeatMisses: 9}
+		LastRecovery: 250 * time.Millisecond}
 	if got != want {
 		t.Fatalf("recovery snapshot = %+v, want %+v", got, want)
 	}

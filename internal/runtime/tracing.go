@@ -53,9 +53,7 @@ func (w *worker) emitFrontierMoves() {
 }
 
 // observeTransport wraps the computation's (fully constructed) transport so
-// every frame the runtime sends or dispatches lands in the event log. Beats
-// a Heartbeats wrapper consumes internally never reach the runtime and are
-// not observed.
+// every frame the runtime sends or dispatches lands in the event log.
 func observeTransport(t transport.Transport, tr *trace.Tracer) transport.Transport {
 	return transport.NewObserved(t,
 		func(from, to int, kind transport.Kind, n int) {

@@ -127,8 +127,8 @@ func runSimulation(t *testing.T, seed int64, rng *rand.Rand, sch simSchedule,
 		})
 		cfg.Transport = ct
 		cfg.SafetyChecks = true
-		cfg.Heartbeat = 2 * time.Millisecond
-		cfg.HeartbeatTimeout = 250 * time.Millisecond
+		// A process crash aborts through the chaos transport's failure
+		// report; counterFactory's Watchdog is the backstop for a stall.
 		target.setChaos(ct)
 	})
 	wrapped := supervise.Factory(func() (*supervise.Build, error) {

@@ -11,6 +11,7 @@ package supervise_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -261,4 +262,83 @@ func TestSinkExactlyOnceUnderMarkerChaos(t *testing.T) {
 		},
 	})
 	auditSinkStore(t, store, oracle)
+}
+
+// lossyTransport stands in for a TCP link that dies: once armed, it drops
+// the next cross-process progress frame and reports the loss through
+// SetOnFail, the way TCP reports a dead or corrupt link.
+type lossyTransport struct {
+	transport.Transport
+	armed  atomic.Bool
+	onFail func(error)
+}
+
+func (l *lossyTransport) SetOnFail(f func(error)) { l.onFail = f }
+
+func (l *lossyTransport) Send(from, to int, kind transport.Kind, payload []byte) {
+	if from == to || kind != transport.KindProgress || !l.armed.CompareAndSwap(true, false) {
+		l.Transport.Send(from, to, kind, payload)
+		return
+	}
+	l.Stats().CountDrops(kind, 1)
+	if l.onFail != nil {
+		l.onFail(&transport.LinkError{From: from, To: to, Err: errors.New("frame lost")})
+	}
+}
+
+// TestSinkExactlyOnceAcrossLostFrame: incarnation 0 loses one progress
+// frame mid-run and its transport reports the loss. No watchdog is set, so
+// that report is the only way out of the stall: the supervisor must
+// restart, and the committed output must be byte-identical to the
+// fault-free run.
+func TestSinkExactlyOnceAcrossLostFrame(t *testing.T) {
+	progress.AuditCaps(t)
+	seed := testutil.Seed(t)
+	oracle := sinkOracle(t, seed)
+	store := lib.NewMemSink(0)
+	lossy := &lossyTransport{Transport: transport.NewMem(2)}
+	fact, incarnations := sinkFactory(store, func(inc int64, cfg *runtime.Config) {
+		cfg.Watchdog = 0
+		if inc == 0 {
+			cfg.Transport = lossy
+		}
+	})
+	sup, err := supervise.New(supervise.Config{
+		Factory: fact, Store: supervise.NewMemStore(4), Seed: seed,
+		CheckpointEvery: 1,
+		Backoff:         time.Millisecond,
+		MaxBackoff:      8 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < sinkChaosEpochs; e++ {
+		if e == sinkChaosEpochs/2 {
+			waitForCheckpoints(t, sup, 1)
+			lossy.armed.Store(true)
+		}
+		if err := sup.OnNext("in", sinkEpochRecords(e)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sup.CloseInput("in"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- sup.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("supervised run did not recover from the lost frame: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("supervised run hung on a lost frame")
+	}
+	auditSinkStore(t, store, oracle)
+	if rec := sup.Recovery(); rec.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1 (%+v)", rec.Restarts, rec)
+	}
+	if n := incarnations.Load(); n != 2 {
+		t.Fatalf("built %d incarnations, want 2", n)
+	}
 }

@@ -1,11 +1,11 @@
 // Package supervise makes a timely dataflow computation self-healing: a
 // Supervisor owns the computation's lifecycle, takes periodic consistent
-// snapshots, detects failures through the runtime's heartbeat detector and
-// watchdog, and on failure rebuilds the graph, restores the latest
-// decodable snapshot, and replays the logged inputs — rollback recovery
-// over logical time, in the spirit of the Falkirk Wheel (Isard & Abadi):
-// the epoch structure tells recovery exactly which inputs to replay and
-// which results are already durable.
+// snapshots, detects failures (a lost frame, a crash, the watchdog), and
+// on failure rebuilds the graph, restores the latest decodable snapshot,
+// and replays the logged inputs — rollback recovery over logical time, in
+// the spirit of the Falkirk Wheel (Isard & Abadi): the epoch structure
+// tells recovery exactly which inputs to replay and which results are
+// already durable.
 //
 // Snapshots are asynchronous barrier cuts: the supervisor injects barrier
 // markers at the input stages and the cut assembles while traffic keeps

@@ -424,9 +424,10 @@ func TestSupervisorReplayUnaffectedByCallerBufferReuse(t *testing.T) {
 }
 
 // TestSupervisorRecoversFromPartition: an unhealed network partition stalls
-// the computation silently — no crash callback fires. The heartbeat
-// detector must raise the suspicion that aborts the incarnation, and the
-// supervisor must then rebuild on a healthy network and finish correctly.
+// the computation silently — it holds frames rather than losing them, so
+// no transport failure fires. The watchdog must abort the stalled
+// incarnation, and the supervisor must then rebuild on a healthy network
+// and finish correctly.
 func TestSupervisorRecoversFromPartition(t *testing.T) {
 	seed := testutil.Seed(t)
 	s := newEpochSink()
@@ -437,12 +438,18 @@ func TestSupervisorRecoversFromPartition(t *testing.T) {
 		if inc == 0 {
 			// Minority {1} cut off from the start, never healing.
 			ccfg.Partition = &transport.Partition{Groups: [][]int{{0}, {1}}, Duration: time.Hour}
+			cfg.Watchdog = 100 * time.Millisecond
 		}
 		cfg.Transport = transport.NewChaos(transport.NewMem(2), ccfg)
-		cfg.Heartbeat = 2 * time.Millisecond
-		cfg.HeartbeatTimeout = 40 * time.Millisecond
 	})
-	sup, err := supervise.New(supervise.Config{Factory: fact, Seed: seed})
+	var first *runtime.Computation
+	sup, err := supervise.New(supervise.Config{Seed: seed, Factory: func() (*supervise.Build, error) {
+		b, err := fact()
+		if first == nil && err == nil {
+			first = b.Comp
+		}
+		return b, err
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +464,8 @@ func TestSupervisorRecoversFromPartition(t *testing.T) {
 	if rec.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1 (%+v)", rec.Restarts, rec)
 	}
-	if rec.HeartbeatMisses == 0 {
-		t.Fatal("partition recovery without recorded heartbeat misses: the wrong detector fired")
+	if err := first.Err(); err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("partitioned incarnation failed with %v, want the watchdog's abort", err)
 	}
 	if incarnations.Load() != 2 {
 		t.Fatalf("built %d incarnations, want 2", incarnations.Load())

@@ -29,10 +29,6 @@ const (
 	// EvFrameSend is a transport frame sent: Aux = frame kind, Loc =
 	// destination process, N = payload bytes.
 	EvFrameSend
-	// EvFrameDrop is a transport frame (or a burst of them) accepted by
-	// Send but never delivered — dead link, reconnect-queue overflow, or
-	// retry-budget exhaustion: Aux = frame kind, N = frames lost.
-	EvFrameDrop
 	// EvFrameRecv is a transport frame received: Aux = frame kind, Loc =
 	// source process, N = payload bytes.
 	EvFrameRecv
@@ -81,8 +77,6 @@ func (k Kind) String() string {
 		return "frontier"
 	case EvFrameSend:
 		return "frame-send"
-	case EvFrameDrop:
-		return "frame-drop"
 	case EvFrameRecv:
 		return "frame-recv"
 	case EvCheckpoint:

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,7 @@ type Chaos struct {
 	frames []atomic.Int64 // frames sent or received per process
 	crash  []int64        // crash threshold per process, 0 = never
 
-	onCrash func(proc int)
+	onFail func(error)
 
 	start  time.Time
 	closed atomic.Bool
@@ -101,7 +102,8 @@ type ChaosConfig struct {
 	Links map[Link]Fault
 	// CrashAfterFrames kills a process after it has sent plus received
 	// the given number of chaos-routed frames: all of its subsequent and
-	// queued traffic is dropped and OnCrash fires once. Zero means never.
+	// queued traffic is dropped and the SetOnFail callback fires once.
+	// Zero means never.
 	CrashAfterFrames map[int]int64
 	// Partition, when non-nil, schedules one partition/heal cycle.
 	Partition *Partition
@@ -180,10 +182,17 @@ func NewChaos(inner Transport, cfg ChaosConfig) *Chaos {
 	return c
 }
 
-// SetOnCrash installs the callback fired (once per process, from its own
-// goroutine) when a process reaches its crash frame count. The runtime
+// CrashError reports a process killed by fault injection.
+type CrashError struct{ Proc int }
+
+func (e *CrashError) Error() string {
+	return fmt.Sprintf("transport: process %d crashed (chaos fault injection)", e.Proc)
+}
+
+// SetOnFail installs the callback fired with a *CrashError (once per
+// process, from its own goroutine) when a process crashes. The runtime
 // uses it to abort the computation instead of hanging on lost frames.
-func (c *Chaos) SetOnCrash(f func(proc int)) { c.onCrash = f }
+func (c *Chaos) SetOnFail(f func(error)) { c.onFail = f }
 
 // Processes returns the process count.
 func (c *Chaos) Processes() int { return c.n }
@@ -199,15 +208,16 @@ func (c *Chaos) Stats() *Stats { return c.inner.Stats() }
 func (c *Chaos) Alive(proc int) bool { return !c.dead[proc].Load() }
 
 // Crash kills a process immediately (in addition to any CrashAfterFrames
-// schedule): its queued and future traffic is dropped and OnCrash fires.
+// schedule): its queued and future traffic is dropped and the SetOnFail
+// callback fires.
 func (c *Chaos) Crash(proc int) { c.kill(proc) }
 
 func (c *Chaos) kill(proc int) {
 	if c.dead[proc].Swap(true) {
 		return
 	}
-	if f := c.onCrash; f != nil {
-		go f(proc)
+	if f := c.onFail; f != nil {
+		go f(&CrashError{Proc: proc})
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -97,7 +98,7 @@ func TestChaosCrashAfterFrames(t *testing.T) {
 	tr := NewChaos(NewMem(2), ChaosConfig{CrashAfterFrames: map[int]int64{1: 3}})
 	defer tr.Close()
 	crashed := make(chan int, 4)
-	tr.SetOnCrash(func(proc int) { crashed <- proc })
+	tr.SetOnFail(func(err error) { crashed <- crashedProc(t, err) })
 	col := newCollector()
 	tr.SetHandler(0, func(int, Kind, []byte) {})
 	tr.SetHandler(1, col.handler)
@@ -110,7 +111,7 @@ func TestChaosCrashAfterFrames(t *testing.T) {
 			t.Fatalf("crashed proc = %d, want 1", p)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("OnCrash never fired")
+		t.Fatal("SetOnFail never fired")
 	}
 	if tr.Alive(1) || !tr.Alive(0) {
 		t.Fatalf("Alive = %v,%v, want true,false", tr.Alive(0), tr.Alive(1))
@@ -127,7 +128,7 @@ func TestChaosCrashAfterFrames(t *testing.T) {
 	}
 	select {
 	case <-crashed:
-		t.Fatal("OnCrash fired more than once")
+		t.Fatal("SetOnFail fired more than once")
 	default:
 	}
 }
@@ -137,7 +138,7 @@ func TestChaosManualCrash(t *testing.T) {
 	tr := NewChaos(NewMem(2), ChaosConfig{})
 	defer tr.Close()
 	crashed := make(chan int, 1)
-	tr.SetOnCrash(func(proc int) { crashed <- proc })
+	tr.SetOnFail(func(err error) { crashed <- crashedProc(t, err) })
 	tr.SetHandler(0, func(int, Kind, []byte) {})
 	received := make(chan struct{}, 16)
 	tr.SetHandler(1, func(int, Kind, []byte) { received <- struct{}{} })
@@ -249,4 +250,14 @@ func TestChaosPayloadCopied(t *testing.T) {
 	if string(frames[0].payload) != "mutate-me" {
 		t.Fatalf("payload aliased sender buffer: %q", frames[0].payload)
 	}
+}
+
+// crashedProc unwraps the process a chaos failure names.
+func crashedProc(t *testing.T, err error) int {
+	var ce *CrashError
+	if !errors.As(err, &ce) {
+		t.Errorf("failure %v is not a *CrashError", err)
+		return -1
+	}
+	return ce.Proc
 }

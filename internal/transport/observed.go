@@ -8,10 +8,8 @@ type ObserveFunc func(from, to int, kind Kind, payloadLen int)
 // Observed wraps a Transport with per-frame observation callbacks: onSend
 // fires before every Send, onRecv before every handler invocation. The
 // runtime uses it to emit transport events into the tracer without the
-// transport implementations knowing about tracing. Frames a wrapper
-// consumes internally (heartbeat beats under an inner Heartbeats) never
-// reach the observed handler, so onRecv reports only frames the runtime
-// actually dispatches.
+// transport implementations knowing about tracing. SetOnFail is forwarded,
+// so an observed transport reports its failures like a bare one.
 type Observed struct {
 	inner  Transport
 	onSend ObserveFunc
@@ -44,6 +42,14 @@ func (o *Observed) Send(from, to int, kind Kind, payload []byte) {
 		o.onSend(from, to, kind, len(payload))
 	}
 	o.inner.Send(from, to, kind, payload)
+}
+
+// SetOnFail forwards the failure callback to the inner transport, if it
+// reports failures.
+func (o *Observed) SetOnFail(f func(error)) {
+	if fr, ok := o.inner.(FailReporter); ok {
+		fr.SetOnFail(f)
+	}
 }
 
 // Stats returns the inner transport's counters.

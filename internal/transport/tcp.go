@@ -3,9 +3,9 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,55 +14,9 @@ import (
 	"naiad/internal/batchbuf"
 )
 
-// TCPOptions hardens the TCP transport against transient network trouble.
-// The zero value preserves the historical behaviour (bounded dial, no send
-// deadline, no reconnect): a write error silently drops the link and the
-// watchdog or heartbeat detector turns the silence into a loud failure.
-// With reconnect enabled, transient partitions degrade to bounded retries
-// instead.
-type TCPOptions struct {
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
-	// SendTimeout, when positive, sets a write deadline per frame: a peer
-	// that stops draining its socket fails the send after this long instead
-	// of blocking the sender behind a full kernel buffer forever.
-	SendTimeout time.Duration
-	// ReconnectAttempts is how many times a broken link's background
-	// redialer retries before dropping the frames queued on that link.
-	// Zero disables reconnection.
-	ReconnectAttempts int
-	// ReconnectBackoff is the initial delay between redial attempts
-	// (default 10ms); it doubles per attempt up to ReconnectMaxBackoff
-	// (default 1s), with ±50% jitter so peers reconnecting simultaneously
-	// do not stampede in lockstep.
-	ReconnectBackoff    time.Duration
-	ReconnectMaxBackoff time.Duration
-	// Seed drives the jitter PRNG (default 1), keeping schedules
-	// reproducible.
-	Seed int64
-	// OnDrop, when non-nil, is invoked for every frame the transport
-	// accepts but cannot deliver (dead link with reconnection disabled,
-	// reconnect queue overflow, or retry-budget exhaustion). It is called
-	// without any link lock held and may block briefly (tracing, metrics);
-	// n is the number of frames of that kind lost at once.
-	OnDrop func(kind Kind, n int)
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 10 * time.Millisecond
-	}
-	if o.ReconnectMaxBackoff <= 0 {
-		o.ReconnectMaxBackoff = time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// dialTimeout bounds each connection attempt and the handshake that
+// follows it while the mesh is built.
+const dialTimeout = 5 * time.Second
 
 // TCP is a transport over real stdlib TCP sockets. Every ordered pair of
 // processes communicates over the connection dialed by the lower-indexed
@@ -71,50 +25,47 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // algorithm to avoid small-message delays (§3.5); Go's net.TCPConn does so
 // by default (TCP_NODELAY on), which we keep.
 //
-// Each listener runs a persistent accept loop, so a peer that redials after
-// a socket death is re-admitted transparently; see TCPOptions for the
-// sender-side reconnect policy.
+// Links are never repaired. The progress protocol and the barrier
+// snapshots assume reliable FIFO channels, so a frame the transport
+// accepted but cannot deliver, or a stream it cannot parse, is a failure
+// of the whole computation: it is reported once, as a *LinkError, to the
+// callback installed with SetOnFail, and recovery is a restart from the
+// last checkpoint (§3.4).
 type TCP struct {
 	n        int
-	opts     TCPOptions
 	handlers []Handler
-	conns    [][]*tcpLink // [owner][peer], nil on diagonal; cells are fixed, sockets swap
-	listener []net.Listener
+	conns    [][]*tcpLink // [owner][peer], nil on diagonal
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	failMu  sync.Mutex
+	onFail  func(error)
+	failErr error // the first link failure, reported once
 
-	reconnects atomic.Int64
-	stats      Stats
-	closed     atomic.Bool
-	wg         sync.WaitGroup
+	stats  Stats
+	closed atomic.Bool
+	wg     sync.WaitGroup
 }
 
 // tcpLink is one directed link's write endpoint. Its mutex serializes
-// writes and socket replacement, so per-link FIFO survives reconnection.
-// The mutex is never held across a dial or a backoff sleep: while the link
-// is down a single background redialer owns recovery, Send merely queues
-// (bounded) and returns, and queued frames flush ahead of new ones when
-// the socket comes back — FIFO through the outage.
+// writes, so frames leave in Send order.
 type tcpLink struct {
-	mu        sync.Mutex
-	w         *bufio.Writer
-	c         net.Conn
-	broken    bool
-	redialing bool    // a background redialer is active (single-flight)
-	pending   []frame // frames queued while redialing, flushed in order
-
-	// drops counts frames this link accepted but lost, across socket
-	// generations. Kept per link (in addition to the transport-wide Stats)
-	// so an operator can tell which peer pair is lossy.
-	drops atomic.Int64
+	mu     sync.Mutex
+	w      *bufio.Writer
+	c      net.Conn
+	broken bool
 }
 
-// maxPendingFrames bounds the per-link reconnect queue: a link that stays
-// down under sustained traffic (heartbeats every few ms, redial backoff in
-// seconds) must not grow memory without bound. Frames beyond the cap are
-// dropped — the same fate they would meet with reconnection disabled.
-const maxPendingFrames = 1024
+// LinkError is a TCP link failure: the directed link From→To lost a frame
+// (a write failed) or its stream broke (a short read or a corrupt header).
+type LinkError struct {
+	From, To int
+	Err      error
+}
+
+func (e *LinkError) Error() string {
+	return fmt.Sprintf("transport: link %d→%d failed: %v", e.From, e.To, e.Err)
+}
+
+func (e *LinkError) Unwrap() error { return e.Err }
 
 // MaxFrameSize caps the payload length the TCP framing accepts. A frame
 // header claiming more is treated as corruption: without the cap a single
@@ -143,155 +94,103 @@ func ParseFrameHeader(hdr []byte) (Kind, int, int, error) {
 }
 
 // NewTCPLoopback constructs a transport for n processes all inside this OS
-// process, connected through real loopback TCP sockets, with the default
-// (historical, non-reconnecting) options. It exists to exercise genuine
-// socket behaviour (kernel buffering, framing, partial reads) in tests and
-// benchmarks; a production deployment would run one process per machine
-// with the same framing.
+// process, connected through real loopback TCP sockets. It exists to
+// exercise genuine socket behaviour (kernel buffering, framing, partial
+// reads) in tests and benchmarks; every process lives in this OS process,
+// so one Close tears the whole mesh down.
 func NewTCPLoopback(n int) (*TCP, error) {
-	return NewTCPLoopbackOpts(n, TCPOptions{})
-}
-
-// NewTCPLoopbackOpts is NewTCPLoopback with explicit hardening options.
-func NewTCPLoopbackOpts(n int, opts TCPOptions) (*TCP, error) {
-	opts = opts.withDefaults()
-	t := &TCP{
-		n:        n,
-		opts:     opts,
-		handlers: make([]Handler, n),
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-	}
+	t := &TCP{n: n, handlers: make([]Handler, n)}
 	t.conns = make([][]*tcpLink, n)
 	for i := range t.conns {
 		t.conns[i] = make([]*tcpLink, n)
 		for j := 0; j < n; j++ {
 			if i != j {
-				t.conns[i][j] = &tcpLink{broken: true}
+				t.conns[i][j] = &tcpLink{}
 			}
 		}
 	}
-	t.listener = make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: listen: %w", err)
-		}
-		t.listener[i] = l
-		t.wg.Add(1)
-		go t.acceptLoop(i)
-	}
-	// Dial: process i dials every j > i; both directions share the socket
-	// (i writes on its end, j's accept loop registers the other end).
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c, err := t.dialPeer(i, j)
-			if err != nil {
-				t.Close()
-				return nil, fmt.Errorf("transport: dial: %w", err)
-			}
-			l := t.conns[i][j]
-			l.mu.Lock()
-			t.installLocked(i, j, l, c)
-			l.mu.Unlock()
-		}
-	}
-	// Wait for the accept side of every pair to register; everything is
-	// loopback-local, so this settles in microseconds.
-	deadline := time.Now().Add(opts.DialTimeout)
-	for !t.allConnected() {
-		if time.Now().After(deadline) {
-			t.Close()
-			return nil, fmt.Errorf("transport: timed out waiting for %d-process mesh", n)
-		}
-		time.Sleep(time.Millisecond)
+	if err := t.connect(); err != nil {
+		t.Close()
+		return nil, err
 	}
 	return t, nil
 }
 
-func (t *TCP) allConnected() bool {
-	for i := range t.conns {
-		for j, l := range t.conns[i] {
-			if i == j {
-				continue
-			}
-			l.mu.Lock()
-			ok := l.c != nil && !l.broken
-			l.mu.Unlock()
-			if !ok {
-				return false
+// connect builds the mesh once: process i dials every j > i and both
+// directions share the socket (i writes on its end; j's listener accepts
+// the other end and learns i from a 4-byte handshake). Each listener
+// accepts exactly its expected peers and then closes.
+func (t *TCP) connect() error {
+	listeners := make([]net.Listener, t.n)
+	defer func() {
+		for _, l := range listeners {
+			if l != nil {
+				l.Close()
 			}
 		}
+	}()
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return fmt.Errorf("transport: listen: %w", err)
+		}
+		listeners[i] = l
 	}
-	return true
+	for i := 0; i < t.n; i++ {
+		for j := i + 1; j < t.n; j++ {
+			c, err := net.DialTimeout("tcp", listeners[j].Addr().String(), dialTimeout)
+			if err != nil {
+				return fmt.Errorf("transport: dial: %w", err)
+			}
+			var hdr [4]byte
+			binary.LittleEndian.PutUint32(hdr[:], uint32(i))
+			if _, err := c.Write(hdr[:]); err != nil { // fits the fresh socket's buffer
+				c.Close()
+				return fmt.Errorf("transport: handshake: %w", err)
+			}
+			t.install(i, j, c)
+		}
+	}
+	// The dials above completed in the kernel's accept backlog; process j
+	// now admits its j lower-indexed peers.
+	deadline := time.Now().Add(dialTimeout)
+	for j := 1; j < t.n; j++ {
+		listeners[j].(*net.TCPListener).SetDeadline(deadline)
+		for k := 0; k < j; k++ {
+			c, err := listeners[j].Accept()
+			if err != nil {
+				return fmt.Errorf("transport: accept: %w", err)
+			}
+			var hdr [4]byte
+			c.SetReadDeadline(deadline)
+			if _, err := io.ReadFull(c, hdr[:]); err != nil {
+				c.Close()
+				return fmt.Errorf("transport: handshake: %w", err)
+			}
+			c.SetReadDeadline(time.Time{})
+			peer := int(binary.LittleEndian.Uint32(hdr[:]))
+			if peer < 0 || peer >= j || t.conns[j][peer].c != nil {
+				c.Close()
+				return fmt.Errorf("transport: process %d got a handshake from unexpected peer %d", j, peer)
+			}
+			t.install(j, peer, c)
+		}
+	}
+	return nil
 }
 
-// dialPeer connects to peer `to`'s listener and handshakes `from`'s id.
-func (t *TCP) dialPeer(from, to int) (net.Conn, error) {
-	c, err := net.DialTimeout("tcp", t.listener[to].Addr().String(), t.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(from))
-	c.SetWriteDeadline(time.Now().Add(t.opts.DialTimeout))
-	if _, err := c.Write(hdr[:]); err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.SetWriteDeadline(time.Time{})
-	return c, nil
-}
-
-// installLocked swaps a fresh socket into the link (closing any old one)
-// and starts the owner-side reader. Callers hold l.mu.
-func (t *TCP) installLocked(owner, peer int, l *tcpLink, c net.Conn) {
-	if l.c != nil {
-		l.c.Close()
-	}
+// install binds a socket to the owner's link to peer and starts the
+// owner-side reader. It runs only while the mesh is built, before any Send.
+func (t *TCP) install(owner, peer int, c net.Conn) {
+	l := t.conns[owner][peer]
 	l.c = c
 	l.w = bufio.NewWriter(c)
-	l.broken = false
 	t.wg.Add(1)
-	go t.readLoop(owner, c)
-}
-
-// acceptLoop re-admits peers for the lifetime of the transport: every
-// accepted socket (initial mesh construction or a redial after a failure)
-// replaces the link's previous socket.
-func (t *TCP) acceptLoop(proc int) {
-	defer t.wg.Done()
-	for {
-		c, err := t.listener[proc].Accept()
-		if err != nil {
-			return // listener closed
-		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			c.Close()
-			continue
-		}
-		peer := int(binary.LittleEndian.Uint32(hdr[:]))
-		if peer < 0 || peer >= t.n || peer == proc {
-			c.Close()
-			continue
-		}
-		if t.closed.Load() {
-			c.Close()
-			return
-		}
-		l := t.conns[proc][peer]
-		l.mu.Lock()
-		t.installLocked(proc, peer, l, c)
-		l.mu.Unlock()
-	}
+	go t.readLoop(owner, peer, c)
 }
 
 // Processes returns the process count.
 func (t *TCP) Processes() int { return t.n }
-
-// Reconnects returns how many sender-side redials have succeeded.
-func (t *TCP) Reconnects() int64 { return t.reconnects.Load() }
 
 // SetHandler installs the consumer for proc. Reader goroutines dispatch
 // through t.handlers at delivery time, so installation order does not
@@ -303,22 +202,69 @@ func (t *TCP) SetHandler(proc int, h Handler) {
 	t.handlers[proc] = h
 }
 
-func (t *TCP) readLoop(proc int, c net.Conn) {
+// SetOnFail installs the callback told of the first link failure, at once
+// if that failure has already happened. It fires at most once per
+// transport, and never for a socket Close tears down: Close marks the
+// transport closed before it closes any socket.
+func (t *TCP) SetOnFail(f func(error)) {
+	t.failMu.Lock()
+	t.onFail = f
+	err := t.failErr
+	t.failMu.Unlock()
+	if err != nil {
+		f(err)
+	}
+}
+
+// fail reports the link from→to as failed.
+func (t *TCP) fail(from, to int, err error) {
+	if t.closed.Load() {
+		return
+	}
+	t.failMu.Lock()
+	if t.failErr != nil {
+		t.failMu.Unlock()
+		return
+	}
+	le := &LinkError{From: from, To: to, Err: err}
+	t.failErr = le
+	f := t.onFail
+	t.failMu.Unlock()
+	if f != nil {
+		f(le)
+	}
+}
+
+// readLoop delivers the frames proc receives from peer over c. A stream
+// that ends or cannot be parsed fails the link. A socket this side closed
+// itself is not reported here: either Close did it, or a failed write,
+// which has reported already.
+func (t *TCP) readLoop(proc, peer int, c net.Conn) {
 	defer t.wg.Done()
 	r := bufio.NewReader(c)
 	for {
 		var hdr [FrameOverhead]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				t.fail(peer, proc, err)
+			}
 			return
 		}
 		kind, src, size, err := ParseFrameHeader(hdr[:])
-		if err != nil || src < 0 || src >= t.n {
-			return // corrupt stream; drop the link rather than misparse it
+		if err == nil && src != peer {
+			err = fmt.Errorf("transport: frame names source %d", src)
+		}
+		if err != nil {
+			t.fail(peer, proc, err)
+			return
 		}
 		// Frames come from the pooled receive arena; the final consumer
 		// recycles them (or leaks them to GC, which is also safe).
 		payload := batchbuf.GetBytes(size)
 		if _, err := io.ReadFull(r, payload); err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				t.fail(peer, proc, err)
+			}
 			return
 		}
 		if h := t.handlers[proc]; h != nil {
@@ -327,15 +273,13 @@ func (t *TCP) readLoop(proc int, c net.Conn) {
 	}
 }
 
-// Send frames and writes the payload on the directed link. When the socket
-// has died and reconnection is enabled, the frame is queued (bounded) and a
-// background redialer repairs the link with jittered exponential backoff,
-// flushing the queue in order once the peer answers — Send itself never
-// sleeps or dials, so a broken link cannot stall a shared send loop (the
-// heartbeat beater walks every link sequentially) into false suspicions. A
-// frame that cannot be delivered within the retry budget is dropped and the
-// loss is the failure detector's to notice. Same-process sends dispatch
-// directly to the handler.
+// errLinkBroken is the cause reported for a Send on a link whose socket
+// an earlier write already lost.
+var errLinkBroken = errors.New("link broken by an earlier write error")
+
+// Send frames and writes the payload on the directed link. A frame that
+// cannot be written is counted as a drop and fails the link; the link
+// stays broken. Same-process sends dispatch directly to the handler.
 func (t *TCP) Send(from, to int, kind Kind, payload []byte) {
 	if t.closed.Load() {
 		return
@@ -350,33 +294,17 @@ func (t *TCP) Send(from, to int, kind Kind, payload []byte) {
 	}
 	l := t.conns[from][to]
 	l.mu.Lock()
-	if l.redialing {
-		queued := t.enqueueLocked(l, from, kind, payload)
-		l.mu.Unlock()
-		if !queued {
-			t.noteDrop(l, kind, 1)
-		}
-		return
+	err := errLinkBroken
+	if !l.broken {
+		err = writeFrameLocked(l, frameHeader(from, kind, payload), payload)
 	}
-	if l.c != nil && !l.broken && t.writeFrameLocked(l, frameHeader(from, kind, payload), payload) == nil {
+	if err == nil {
 		t.stats.Count(kind, len(payload))
-		l.mu.Unlock()
-		return
 	}
-	if t.opts.ReconnectAttempts <= 0 {
-		l.mu.Unlock()
-		// Historical contract: a dead link drops the frame — but the loss
-		// is counted, never silent.
-		t.noteDrop(l, kind, 1)
-		return
-	}
-	queued := t.enqueueLocked(l, from, kind, payload)
-	l.redialing = true
-	t.wg.Add(1)
-	go t.redial(from, to, l)
 	l.mu.Unlock()
-	if !queued {
-		t.noteDrop(l, kind, 1)
+	if err != nil {
+		t.stats.CountDrops(kind, 1)
+		t.fail(from, to, err)
 	}
 }
 
@@ -389,115 +317,15 @@ func frameHeader(from int, kind Kind, payload []byte) []byte {
 	return hdr[:]
 }
 
-// enqueueLocked queues a frame for delivery after reconnection, copying the
-// payload (the caller may reuse its buffer once Send returns). Beyond the
-// bound the frame is refused and the caller must account the drop (the
-// OnDrop hook may block, so it cannot run under l.mu). Callers hold l.mu.
-func (t *TCP) enqueueLocked(l *tcpLink, from int, kind Kind, payload []byte) bool {
-	if len(l.pending) >= maxPendingFrames {
-		return false
-	}
-	l.pending = append(l.pending, frame{from: from, kind: kind, payload: append([]byte(nil), payload...)})
-	return true
-}
-
-// noteDrop accounts frames a link accepted but lost: the per-link counter,
-// the transport-wide per-kind stats, and the OnDrop hook (which feeds the
-// runtime's tracing and metrics when wired). Callers must not hold l.mu.
-func (t *TCP) noteDrop(l *tcpLink, kind Kind, n int) {
-	l.drops.Add(int64(n))
-	t.stats.CountDrops(kind, n)
-	if t.opts.OnDrop != nil {
-		t.opts.OnDrop(kind, n)
-	}
-}
-
-// LinkDrops returns the frames lost on the directed link from→to.
-func (t *TCP) LinkDrops(from, to int) int64 {
-	if from == to || from < 0 || to < 0 || from >= t.n || to >= t.n {
-		return 0
-	}
-	return t.conns[from][to].drops.Load()
-}
-
-// redial is the background reconnector for one broken link: jittered
-// exponential backoff between attempts, and on success the pending queue
-// flushes before Send resumes writing directly. It owns l.redialing; no
-// lock is held while sleeping or dialing.
-func (t *TCP) redial(from, to int, l *tcpLink) {
-	defer t.wg.Done()
-	for attempt := 1; attempt <= t.opts.ReconnectAttempts; attempt++ {
-		t.backoff(attempt)
-		if t.closed.Load() {
-			break
-		}
-		c, err := t.dialPeer(from, to)
-		if err != nil {
-			continue
-		}
-		if t.closed.Load() {
-			c.Close()
-			break
-		}
-		l.mu.Lock()
-		t.installLocked(from, to, l, c)
-		t.reconnects.Add(1)
-		if t.flushPendingLocked(l) {
-			l.redialing = false
-			l.mu.Unlock()
-			return
-		}
-		l.mu.Unlock() // fresh socket died mid-flush; keep the remainder and retry
-	}
-	// Retry budget exhausted: the queued frames are lost with the link. A
-	// later Send will start a fresh redial round.
-	l.mu.Lock()
-	lost := l.pending
-	l.pending = nil
-	l.redialing = false
-	l.mu.Unlock()
-	var perKind [numKinds]int
-	for _, f := range lost {
-		perKind[f.kind]++
-	}
-	for k, n := range perKind {
-		if n > 0 {
-			t.noteDrop(l, Kind(k), n)
-		}
-	}
-}
-
-// flushPendingLocked writes the queued frames in order, retaining the
-// unwritten remainder on failure. Callers hold l.mu.
-func (t *TCP) flushPendingLocked(l *tcpLink) bool {
-	for len(l.pending) > 0 {
-		f := l.pending[0]
-		if t.writeFrameLocked(l, frameHeader(f.from, f.kind, f.payload), f.payload) != nil {
-			return false
-		}
-		t.stats.Count(f.kind, len(f.payload))
-		l.pending = l.pending[1:]
-	}
-	l.pending = nil
-	return true
-}
-
-// writeFrameLocked writes one frame under the link's per-send deadline,
-// marking the link broken (and closing its socket) on failure. Callers
-// hold l.mu.
-func (t *TCP) writeFrameLocked(l *tcpLink, hdr, payload []byte) error {
-	if t.opts.SendTimeout > 0 {
-		l.c.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
-	}
+// writeFrameLocked writes one frame, marking the link broken (and closing
+// its socket) on failure. Callers hold l.mu.
+func writeFrameLocked(l *tcpLink, hdr, payload []byte) error {
 	_, err := l.w.Write(hdr)
 	if err == nil {
 		_, err = l.w.Write(payload)
 	}
 	if err == nil {
 		err = l.w.Flush()
-	}
-	if t.opts.SendTimeout > 0 && err == nil {
-		l.c.SetWriteDeadline(time.Time{})
 	}
 	if err != nil {
 		l.broken = true
@@ -506,30 +334,13 @@ func (t *TCP) writeFrameLocked(l *tcpLink, hdr, payload []byte) error {
 	return err
 }
 
-// backoff sleeps the jittered exponential delay for a redial attempt.
-func (t *TCP) backoff(attempt int) {
-	d := t.opts.ReconnectBackoff << (attempt - 1)
-	if d > t.opts.ReconnectMaxBackoff || d <= 0 {
-		d = t.opts.ReconnectMaxBackoff
-	}
-	t.rngMu.Lock()
-	jittered := d/2 + time.Duration(t.rng.Int63n(int64(d)))
-	t.rngMu.Unlock()
-	time.Sleep(jittered)
-}
-
 // Stats returns the traffic counters.
 func (t *TCP) Stats() *Stats { return &t.stats }
 
-// Close shuts down all sockets and waits for reader and accept goroutines.
+// Close shuts down all sockets and waits for the reader goroutines.
 func (t *TCP) Close() {
 	if t.closed.Swap(true) {
 		return
-	}
-	for _, l := range t.listener {
-		if l != nil {
-			l.Close()
-		}
 	}
 	for i := range t.conns {
 		for _, l := range t.conns[i] {

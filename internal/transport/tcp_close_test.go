@@ -13,14 +13,15 @@ import (
 
 // TestTCPCloseDuringConcurrentSend closes the transport while senders on
 // every link are mid-Send. Nothing may panic, Close must return (it waits
-// for the reader goroutines), late Sends must be no-ops, and no goroutine
-// may leak.
+// for the reader goroutines), late Sends must be no-ops, no goroutine may
+// leak, and the sockets Close tears down must not be reported as failures.
 func TestTCPCloseDuringConcurrentSend(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
 	tr, err := NewTCPLoopback(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := newFailRecorder(tr)
 	var delivered atomic.Int64
 	for i := 0; i < 3; i++ {
 		tr.SetHandler(i, func(int, Kind, []byte) { delivered.Add(1) })
@@ -62,6 +63,9 @@ func TestTCPCloseDuringConcurrentSend(t *testing.T) {
 	wg.Wait()
 	tr.Send(0, 1, KindData, []byte("late")) // after Close: dropped, no panic
 	tr.Close()                              // idempotent
+	if n := rec.calls.Load(); n != 0 {
+		t.Fatalf("Close fired SetOnFail %d times: %v", n, <-rec.first)
+	}
 }
 
 // TestTCPLargeFramePartialRead pushes frames well past the kernel socket

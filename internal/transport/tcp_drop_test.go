@@ -1,64 +1,25 @@
 package transport
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"naiad/internal/testutil"
 )
 
-// dropRecorder collects OnDrop invocations.
-type dropRecorder struct {
-	mu    sync.Mutex
-	total int64
-	byK   map[Kind]int64
-}
-
-func newDropRecorder() *dropRecorder {
-	return &dropRecorder{byK: make(map[Kind]int64)}
-}
-
-func (r *dropRecorder) hook(kind Kind, n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total += int64(n)
-	r.byK[kind] += int64(n)
-}
-
-func (r *dropRecorder) snapshot() (int64, map[Kind]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[Kind]int64, len(r.byK))
-	for k, v := range r.byK {
-		out[k] = v
-	}
-	return r.total, out
-}
-
-// TestTCPDeadLinkDropCounted pins the fix for silent frame loss: with
-// reconnection disabled, a send on a dead link still drops the frame
-// (historical contract) but the loss is now counted in the per-kind stats,
-// the per-link counter, and the OnDrop hook.
+// TestTCPDeadLinkDropCounted pins the rule that a lost frame is a failure,
+// never a silent drop: a send on a dead link counts the frame in the
+// per-kind drop stats and fails the link 0→1 through SetOnFail, once. The
+// link is never repaired, so nothing sent after the failure arrives.
 func TestTCPDeadLinkDropCounted(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	rec := newDropRecorder()
-	tr, err := NewTCPLoopbackOpts(2, TCPOptions{
-		DialTimeout: 2 * time.Second,
-		SendTimeout: time.Second,
-		Seed:        testutil.Seed(t),
-		OnDrop:      rec.hook,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.SetHandler(0, func(int, Kind, []byte) {})
-	tr.SetHandler(1, func(int, Kind, []byte) {})
+	tr, col, rec := newTCPPair(t)
+	tr.Send(0, 1, KindData, []byte("before"))
+	col.waitFor(t, 1)
 
 	killLink(tr, 0, 1)
 	tr.Send(0, 1, KindData, []byte("lost-1"))     // write fails, marks broken
 	tr.Send(0, 1, KindProgress, []byte("lost-2")) // broken link, dropped directly
+	rec.waitLink(t, 0, 1)
 
 	if got := tr.Stats().TotalDrops(); got != 2 {
 		t.Fatalf("TotalDrops = %d, want 2", got)
@@ -66,113 +27,24 @@ func TestTCPDeadLinkDropCounted(t *testing.T) {
 	if d, p := tr.Stats().Drops(KindData), tr.Stats().Drops(KindProgress); d != 1 || p != 1 {
 		t.Fatalf("per-kind drops data=%d progress=%d, want 1/1", d, p)
 	}
-	if got := tr.LinkDrops(0, 1); got != 2 {
-		t.Fatalf("LinkDrops(0,1) = %d, want 2", got)
+	tr.Close()
+	if n := rec.calls.Load(); n != 1 {
+		t.Fatalf("SetOnFail fired %d times, want once", n)
 	}
-	if got := tr.LinkDrops(1, 0); got != 0 {
-		t.Fatalf("LinkDrops(1,0) = %d, want 0 (healthy direction)", got)
-	}
-	total, byK := rec.snapshot()
-	if total != 2 || byK[KindData] != 1 || byK[KindProgress] != 1 {
-		t.Fatalf("OnDrop saw total=%d byKind=%v, want 2 with 1 data + 1 progress", total, byK)
-	}
-}
-
-// TestTCPReconnectQueueOverflowDrops overflows the bounded reconnect queue:
-// frames beyond maxPendingFrames are dropped and counted, while the queued
-// prefix is delivered once the redialer repairs the link.
-func TestTCPReconnectQueueOverflowDrops(t *testing.T) {
-	defer testutil.CheckNoLeaks(t)()
-	const extra = 16
-	rec := newDropRecorder()
-	tr, err := NewTCPLoopbackOpts(2, TCPOptions{
-		DialTimeout: 2 * time.Second,
-		SendTimeout: time.Second,
-		// A long first backoff keeps the redialer asleep while the test
-		// floods the queue, making the overflow deterministic.
-		ReconnectAttempts: 10,
-		ReconnectBackoff:  200 * time.Millisecond,
-		Seed:              testutil.Seed(t),
-		OnDrop:            rec.hook,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	col := newCollector()
-	tr.SetHandler(0, func(int, Kind, []byte) {})
-	tr.SetHandler(1, col.handler)
-
-	killLink(tr, 0, 1)
-	for i := 0; i < maxPendingFrames+extra; i++ {
-		tr.Send(0, 1, KindData, []byte("x"))
-	}
-	// The first send hits the write error, queues itself, and starts the
-	// redial; the next maxPendingFrames-1 fill the queue; the rest overflow.
-	if got := tr.Stats().Drops(KindData); got != extra {
-		t.Fatalf("overflow drops = %d, want %d", got, extra)
-	}
-	if got := tr.LinkDrops(0, 1); got != extra {
-		t.Fatalf("LinkDrops = %d, want %d", got, extra)
-	}
-
-	// The queued prefix survives the outage: exactly maxPendingFrames
-	// frames arrive after reconnection, none double-counted.
-	col.waitFor(t, maxPendingFrames)
-	if tr.Reconnects() == 0 {
-		t.Fatal("queue flushed without a recorded reconnect")
-	}
-	if got := tr.Stats().TotalDrops(); got != extra {
-		t.Fatalf("TotalDrops after flush = %d, want %d (flush must not count drops)", got, extra)
-	}
-}
-
-// TestTCPRedialExhaustionDropsQueued kills the peer's listener so every
-// redial attempt fails: when the retry budget runs out, the queued frames
-// are dropped and every one of them is accounted, per kind.
-func TestTCPRedialExhaustionDropsQueued(t *testing.T) {
-	defer testutil.CheckNoLeaks(t)()
-	rec := newDropRecorder()
-	tr, err := NewTCPLoopbackOpts(2, TCPOptions{
-		DialTimeout:       100 * time.Millisecond,
-		SendTimeout:       time.Second,
-		ReconnectAttempts: 2,
-		ReconnectBackoff:  time.Millisecond,
-		Seed:              testutil.Seed(t),
-		OnDrop:            rec.hook,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.SetHandler(0, func(int, Kind, []byte) {})
-	tr.SetHandler(1, func(int, Kind, []byte) {})
-
-	tr.listener[1].Close() // all redials to process 1 now fail
-	killLink(tr, 0, 1)
-	tr.Send(0, 1, KindData, []byte("q1")) // write fails; link queues...
-	tr.Send(0, 1, KindData, []byte("q2"))
-	tr.Send(0, 1, KindProgress, []byte("q3"))
-
-	deadline := time.Now().Add(5 * time.Second)
-	for tr.Stats().TotalDrops() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d, p := tr.Stats().Drops(KindData), tr.Stats().Drops(KindProgress); d != 2 || p != 1 {
-		t.Fatalf("drops after exhaustion data=%d progress=%d, want 2/1", d, p)
-	}
-	total, byK := rec.snapshot()
-	if total != 3 || byK[KindData] != 2 || byK[KindProgress] != 1 {
-		t.Fatalf("OnDrop saw total=%d byKind=%v, want 3 with 2 data + 1 progress", total, byK)
+	col.mu.Lock()
+	n := len(col.frames)
+	col.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d frames delivered, want only the one sent before the link died", n)
 	}
 }
 
 func TestStatsDropCounters(t *testing.T) {
 	var s Stats
 	s.CountDrops(KindData, 3)
-	s.CountDrops(KindHeartbeat, 2)
-	if s.Drops(KindData) != 3 || s.Drops(KindHeartbeat) != 2 || s.TotalDrops() != 5 {
-		t.Fatalf("drops data=%d hb=%d total=%d", s.Drops(KindData), s.Drops(KindHeartbeat), s.TotalDrops())
+	s.CountDrops(KindControl, 2)
+	if s.Drops(KindData) != 3 || s.Drops(KindControl) != 2 || s.TotalDrops() != 5 {
+		t.Fatalf("drops data=%d control=%d total=%d", s.Drops(KindData), s.Drops(KindControl), s.TotalDrops())
 	}
 	s.Reset()
 	if s.TotalDrops() != 0 {

@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -8,7 +12,7 @@ import (
 )
 
 // killLink closes the socket behind one directed link, simulating a
-// transient network failure from the sender's point of view.
+// network failure from the sender's point of view.
 func killLink(tr *TCP, from, to int) {
 	l := tr.conns[from][to]
 	l.mu.Lock()
@@ -19,130 +23,138 @@ func killLink(tr *TCP, from, to int) {
 	}
 }
 
-// TestTCPReconnectAfterSocketDeath kills the socket under a link and sends
-// through it: with reconnection enabled the frame is queued, the background
-// redialer re-handshakes through the persistent accept loop, and the queued
-// frame is delivered.
-func TestTCPReconnectAfterSocketDeath(t *testing.T) {
-	defer testutil.CheckNoLeaks(t)()
-	tr, err := NewTCPLoopbackOpts(2, TCPOptions{
-		DialTimeout:       2 * time.Second,
-		SendTimeout:       time.Second,
-		ReconnectAttempts: 5,
-		ReconnectBackoff:  time.Millisecond,
-		Seed:              testutil.Seed(t),
+// failRecorder counts SetOnFail calls and keeps the first error.
+type failRecorder struct {
+	calls atomic.Int64
+	first chan error
+}
+
+func newFailRecorder(tr FailReporter) *failRecorder {
+	r := &failRecorder{first: make(chan error, 1)}
+	tr.SetOnFail(func(err error) {
+		if r.calls.Add(1) == 1 {
+			r.first <- err
+		}
 	})
+	return r
+}
+
+// waitLink waits for the first failure and checks that it is a
+// *LinkError naming from→to.
+func (r *failRecorder) waitLink(t *testing.T, from, to int) *LinkError {
+	t.Helper()
+	select {
+	case err := <-r.first:
+		var le *LinkError
+		if !errors.As(err, &le) {
+			t.Fatalf("failure %v is not a *LinkError", err)
+		}
+		if le.From != from || le.To != to {
+			t.Fatalf("failure names link %d→%d, want %d→%d: %v", le.From, le.To, from, to, err)
+		}
+		return le
+	case <-time.After(5 * time.Second):
+		t.Fatal("SetOnFail never fired")
+		return nil
+	}
+}
+
+// newTCPPair builds a 2-process loopback mesh whose process 1 delivers into
+// the returned collector.
+func newTCPPair(t *testing.T) (*TCP, *collector, *failRecorder) {
+	t.Helper()
+	tr, err := NewTCPLoopback(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
 	col := newCollector()
 	tr.SetHandler(0, func(int, Kind, []byte) {})
 	tr.SetHandler(1, col.handler)
+	return tr, col, newFailRecorder(tr)
+}
+
+// TestTCPSocketDeathFailsLink kills the socket under a link without
+// sending on it: the peer's reader sees the stream end and fails the link
+// 0→1 it was reading, once.
+func TestTCPSocketDeathFailsLink(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tr, col, rec := newTCPPair(t)
 	tr.Send(0, 1, KindData, []byte("before"))
 	col.waitFor(t, 1)
 
 	killLink(tr, 0, 1)
-	tr.Send(0, 1, KindData, []byte("after"))
-	frames := col.waitFor(t, 2)
-	if string(frames[1].payload) != "after" {
-		t.Fatalf("frame after reconnect mangled: %q", frames[1].payload)
+	rec.waitLink(t, 0, 1)
+	tr.Close()
+	if n := rec.calls.Load(); n != 1 {
+		t.Fatalf("SetOnFail fired %d times, want once", n)
 	}
-	if tr.Reconnects() == 0 {
-		t.Fatal("delivery succeeded without a recorded reconnect")
+	if got := tr.Stats().TotalDrops(); got != 0 {
+		t.Fatalf("TotalDrops = %d with nothing sent on the dead link", got)
 	}
 }
 
-// TestTCPReconnectRestoresBothDirections kills the shared socket and then
-// exercises both directions: the sender that notices repairs its own
-// direction, and the opposite direction rides the redial of whichever side
-// writes first (the accept loop replaces the dead socket on both ends).
-func TestTCPReconnectRestoresBothDirections(t *testing.T) {
+// TestTCPCorruptHeaderFailsLink writes raw headers onto a link's socket
+// that the reader must refuse rather than misparse: an unknown kind, a
+// length past MaxFrameSize, and a source that is not the link's peer.
+func TestTCPCorruptHeaderFailsLink(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	tr, err := NewTCPLoopbackOpts(2, TCPOptions{
-		ReconnectAttempts: 5,
-		ReconnectBackoff:  time.Millisecond,
-		Seed:              testutil.Seed(t),
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		kind, src uint32
+		size      uint32
+		want      string
+	}{
+		{"unknown kind", 200, 0, 4, "unknown frame kind"},
+		{"oversized", uint32(KindData), 0, MaxFrameSize + 1, "exceeds limit"},
+		{"foreign source", uint32(KindData), 1, 4, "names source 1"},
 	}
-	defer tr.Close()
-	cols := []*collector{newCollector(), newCollector()}
-	tr.SetHandler(0, cols[0].handler)
-	tr.SetHandler(1, cols[1].handler)
-
-	killLink(tr, 0, 1) // kills the only socket of the pair
-	tr.Send(0, 1, KindData, []byte("ping"))
-	cols[1].waitFor(t, 1)
-	// 1's write endpoint died with the shared socket; its own Send must
-	// recover too (either over 0's fresh socket or its own redial).
-	tr.Send(1, 0, KindData, []byte("pong"))
-	frames := cols[0].waitFor(t, 1)
-	if string(frames[0].payload) != "pong" {
-		t.Fatalf("reverse direction mangled: %q", frames[0].payload)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, col, rec := newTCPPair(t)
+			defer tr.Close()
+			var hdr [FrameOverhead]byte
+			hdr[0] = byte(tc.kind)
+			binary.LittleEndian.PutUint32(hdr[1:5], tc.src)
+			binary.LittleEndian.PutUint32(hdr[5:9], tc.size)
+			l := tr.conns[0][1]
+			l.mu.Lock()
+			_, err := l.c.Write(hdr[:])
+			l.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			le := rec.waitLink(t, 0, 1)
+			if !strings.Contains(le.Error(), tc.want) {
+				t.Fatalf("failure %q does not say %q", le, tc.want)
+			}
+			col.mu.Lock()
+			n := len(col.frames)
+			col.mu.Unlock()
+			if n != 0 {
+				t.Fatalf("corrupt stream delivered %d frames", n)
+			}
+		})
 	}
 }
 
-// TestTCPSendNeverBlocksOnBrokenLink pins the non-blocking contract that
-// keeps the heartbeat beater honest: while a link is down, Send must queue
-// and return immediately — never sleep a backoff or dial inline — and once
-// the redialer repairs the link the queued frames must arrive in order. A
-// blocking Send here would stall the shared beat loop past healthy peers'
-// deadlines and turn one broken link into a storm of false suspicions.
+// TestTCPSendNeverBlocksOnBrokenLink pins the Transport contract that Send
+// never blocks indefinitely: on a link whose socket is gone every send
+// returns at once, counted as a drop.
 func TestTCPSendNeverBlocksOnBrokenLink(t *testing.T) {
 	defer testutil.CheckNoLeaks(t)()
-	tr, err := NewTCPLoopbackOpts(2, TCPOptions{
-		DialTimeout:       2 * time.Second,
-		SendTimeout:       time.Second,
-		ReconnectAttempts: 5,
-		ReconnectBackoff:  200 * time.Millisecond, // any inline backoff is visible
-		Seed:              testutil.Seed(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, _, rec := newTCPPair(t)
 	defer tr.Close()
-	col := newCollector()
-	tr.SetHandler(0, func(int, Kind, []byte) {})
-	tr.SetHandler(1, col.handler)
 
 	killLink(tr, 0, 1)
 	start := time.Now()
 	for _, p := range []string{"a", "b", "c"} {
 		tr.Send(0, 1, KindData, []byte(p))
 	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("Send blocked %v on a broken link; reconnection must be asynchronous", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Send blocked %v on a broken link", elapsed)
 	}
-	frames := col.waitFor(t, 3)
-	for i, want := range []string{"a", "b", "c"} {
-		if string(frames[i].payload) != want {
-			t.Fatalf("frame %d = %q, want %q: queue flush broke per-link FIFO", i, frames[i].payload, want)
-		}
+	if got := tr.Stats().Drops(KindData); got != 3 {
+		t.Fatalf("data drops = %d, want 3", got)
 	}
-}
-
-// TestTCPNoReconnectByDefault pins the historical contract: with zero
-// options a dead link silently drops frames — the failure detector's
-// problem, not the transport's.
-func TestTCPNoReconnectByDefault(t *testing.T) {
-	defer testutil.CheckNoLeaks(t)()
-	tr, err := NewTCPLoopback(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	col := newCollector()
-	tr.SetHandler(0, func(int, Kind, []byte) {})
-	tr.SetHandler(1, col.handler)
-	tr.Send(0, 1, KindData, []byte("before"))
-	col.waitFor(t, 1)
-
-	killLink(tr, 0, 1)
-	tr.Send(0, 1, KindData, []byte("lost")) // must not panic or block
-	tr.Send(0, 1, KindData, []byte("lost"))
-	if tr.Reconnects() != 0 {
-		t.Fatal("default options attempted a reconnect")
-	}
+	rec.waitLink(t, 0, 1)
 }

@@ -3,9 +3,10 @@
 // Two implementations share one interface: Mem simulates a cluster of
 // processes inside a single OS process (every frame is fully serialized and
 // copied, and per-link FIFO order is preserved, so the code paths match a
-// networked deployment), and TCP runs over real stdlib net sockets for
-// multi-process operation. Both count traffic per frame kind, which feeds
-// the throughput (Fig 6a) and progress-traffic (Fig 6c) experiments.
+// networked deployment), and TCP connects the same in-process cluster
+// through real loopback sockets, so framing, kernel buffering and partial
+// reads are exercised for real. Both count traffic per frame kind, which
+// feeds the throughput (Fig 6a) and progress-traffic (Fig 6c) experiments.
 package transport
 
 import (
@@ -26,10 +27,6 @@ const (
 	KindProgress
 	// KindControl frames carry runtime control traffic.
 	KindControl
-	// KindHeartbeat frames carry failure-detector liveness beats. They are
-	// consumed by the Heartbeats wrapper and never reach the runtime's
-	// frame dispatcher.
-	KindHeartbeat
 	numKinds
 )
 
@@ -42,8 +39,6 @@ func (k Kind) String() string {
 		return "progress"
 	case KindControl:
 		return "control"
-	case KindHeartbeat:
-		return "heartbeat"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -78,6 +73,15 @@ type Transport interface {
 	Stats() *Stats
 	// Close releases resources; subsequent Sends are dropped.
 	Close()
+}
+
+// FailReporter is implemented by a transport that can lose a frame it
+// accepted (TCP's dead or corrupt link, Chaos's crashed process) and by
+// wrappers that forward to one. The runtime installs its abort there: a
+// lost frame fails the computation, which restarts from a checkpoint,
+// instead of hanging it.
+type FailReporter interface {
+	SetOnFail(f func(error))
 }
 
 // Stats tallies frames and bytes per kind across process boundaries.
