@@ -93,6 +93,44 @@ func TestTCPSocketDeathFailsLink(t *testing.T) {
 	}
 }
 
+// TestTCPNoReconnectByDefault pins that NewTCPLoopback never repairs a
+// link: after its socket dies the link stays broken on the same closed
+// socket, and every later send is dropped rather than queued for a redial.
+func TestTCPNoReconnectByDefault(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tr, col, rec := newTCPPair(t)
+	defer tr.Close()
+	tr.Send(0, 1, KindData, []byte("before"))
+	col.waitFor(t, 1)
+
+	l := tr.conns[0][1]
+	l.mu.Lock()
+	dead := l.c
+	l.mu.Unlock()
+	killLink(tr, 0, 1)
+	tr.Send(0, 1, KindData, []byte("lost")) // must not panic or block
+	rec.waitLink(t, 0, 1)
+	for i := 0; i < 3; i++ {
+		tr.Send(0, 1, KindData, []byte("lost"))
+	}
+
+	l.mu.Lock()
+	broken, c := l.broken, l.c
+	l.mu.Unlock()
+	if !broken || c != dead {
+		t.Fatalf("link 0→1 broken=%v, socket replaced=%v: the dead link was repaired", broken, c != dead)
+	}
+	if got := tr.Stats().Drops(KindData); got != 4 {
+		t.Fatalf("data drops = %d, want 4: frames on a dead link must be dropped, not queued", got)
+	}
+	col.mu.Lock()
+	n := len(col.frames)
+	col.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d frames delivered, want only the one sent before the link died", n)
+	}
+}
+
 // TestTCPCorruptHeaderFailsLink writes raw headers onto a link's socket
 // that the reader must refuse rather than misparse: an unknown kind, a
 // length past MaxFrameSize, and a source that is not the link's peer.
