@@ -16,43 +16,43 @@ import (
 // and structs and arrays of those — every field exported, no custom gob or
 // binary marshalling anywhere — is described once, at codec construction,
 // by a flatPlan: the record's leaves in declaration order, each an (offset,
-// kind) pair. Encoding and decoding a whole []T column is then two nested
+// width) pair. Encoding and decoding a whole []T column is then two nested
 // loops over that plan with no reflection and no per-record dispatch.
 //
-// Byte layout: records back to back, each the concatenation of its leaves:
+// Byte layout: records back to back, each the concatenation of its leaves
+// in the form Encoder's own primitives write:
 //
-//	int8…int64, int      zig-zag varint (encoding/binary's Varint)
-//	uint8…uint64, uintptr uvarint
-//	float32, float64     fixed-width little-endian bit pattern
+//	ints, uints, floats  fixed-width little-endian, at the field's own size
 //	bool                 one byte, 0 or 1
-//	string               uvarint byte length, then the bytes (copied)
+//	string               uint32 little-endian byte length, then the bytes
 //
-// There is no frame header: the record count travels in the envelope, as it
-// does for every codec.
+// So Gob[int64], Gob[float64] and Gob[string] write the bytes of Int64(),
+// Float64() and String(). There is no frame header: the record count travels
+// in the envelope, as it does for every codec.
+//
+// A plan whose leaves are all numbers and exactly tile the record's memory
+// (no bool, no string, no padding) is packed: on a little-endian host the
+// layout above is then the column's memory itself, so a column encodes as
+// one append of its bytes and decodes as one copy into the pooled column.
+// Other plans run the per-leaf loop, which writes the same bytes.
 //
 // This file is the only non-test file in the module that imports unsafe
-// (`make vet` enforces it). unsafe is used for exactly one thing: addressing
-// a leaf inside element i of a live []T at the offset reflect reported for
-// it. Every read of *encoded* input indexes the []byte with ordinary bounds
-// checks; a corrupt frame panics (codec.Catch turns that into an error) and
-// can never steer a pointer, because offsets come from the plan, never from
+// (`make vet` enforces it). unsafe is used for exactly two things:
+// addressing a leaf inside element i of a live []T at the offset reflect
+// reported for it, and viewing a packed (pointer-free) column as bytes.
+// Every read of *encoded* input goes through Decoder's bounds checks; a
+// corrupt frame panics (codec.Catch turns that into an error) and can never
+// steer a pointer, because offsets and sizes come from the plan, never from
 // the wire. flat_test.go checks the plan against a reflect-only walker.
 
 type flatKind uint8
 
-// The four signed and four unsigned kinds are laid out so that kind =
-// base + log2(size in bytes).
+// A number's kind is log2 of its size in bytes.
 const (
-	flatInt8 flatKind = iota
-	flatInt16
-	flatInt32
-	flatInt64
-	flatUint8
-	flatUint16
-	flatUint32
-	flatUint64
-	flatFloat32
-	flatFloat64
+	flat8 flatKind = iota
+	flat16
+	flat32
+	flat64
 	flatBool
 	flatString
 )
@@ -67,17 +67,25 @@ type flatPlan struct {
 	size     uintptr  // of one record in memory
 	ops      []flatOp // leaves, in declaration order
 	minBytes int      // least encoded size of one record; ≥ 1
+	packed   bool     // the encoded record is its memory (see above)
 }
 
 // maxFlatOps bounds a plan: arrays expand to one op per element, so a huge
 // array field would otherwise compile to a huge plan. Such types keep gob.
 const maxFlatOps = 256
 
+// littleEndian reports whether this host stores numbers in the wire order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // newFlatPlan compiles t, or returns nil when t is not a flat type.
 func newFlatPlan(t reflect.Type) *flatPlan {
 	p := &flatPlan{size: t.Size()}
 	if !p.walk(t, 0) || len(p.ops) == 0 {
 		return nil
+	}
+	p.packed = littleEndian && uintptr(p.minBytes) == p.size
+	for _, op := range p.ops {
+		p.packed = p.packed && op.kind <= flat64
 	}
 	return p
 }
@@ -93,24 +101,20 @@ func (p *flatPlan) walk(t reflect.Type, off uintptr) bool {
 			return false // the type says its memory is not its wire form
 		}
 	}
-	leaf := func(k flatKind, minBytes int) bool {
+	leaf := func(k flatKind, n int) bool {
 		p.ops = append(p.ops, flatOp{off: off, kind: k})
-		p.minBytes += minBytes
+		p.minBytes += n
 		return len(p.ops) <= maxFlatOps
 	}
 	switch t.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return leaf(flatInt8+flatKind(bits.TrailingZeros(uint(t.Size()))), 1)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return leaf(flatUint8+flatKind(bits.TrailingZeros(uint(t.Size()))), 1)
-	case reflect.Float32:
-		return leaf(flatFloat32, 4)
-	case reflect.Float64:
-		return leaf(flatFloat64, 8)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return leaf(flatKind(bits.TrailingZeros(uint(t.Size()))), int(t.Size()))
 	case reflect.Bool:
 		return leaf(flatBool, 1)
 	case reflect.String:
-		return leaf(flatString, 1)
+		return leaf(flatString, 4)
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
@@ -136,13 +140,25 @@ func (p *flatPlan) walk(t reflect.Type, off uintptr) bool {
 
 // flatEncode appends the encoding of recs to enc.
 func flatEncode[T any](p *flatPlan, enc *Encoder, recs []T) {
-	enc.buf = p.encode(enc.buf, unsafe.Pointer(unsafe.SliceData(recs)), len(recs))
+	base := unsafe.Pointer(unsafe.SliceData(recs))
+	if p.packed {
+		enc.buf = append(enc.buf, unsafe.Slice((*byte)(base), uintptr(len(recs))*p.size)...)
+		return
+	}
+	enc.buf = p.encode(enc.buf, base, len(recs))
 }
 
 // flatDecode fills every element of recs from dec. The caller sized recs
 // from a count validated by checkCount.
 func flatDecode[T any](p *flatPlan, dec *Decoder, recs []T) {
-	dec.off = p.decode(dec.data, dec.off, unsafe.Pointer(unsafe.SliceData(recs)), len(recs))
+	base := unsafe.Pointer(unsafe.SliceData(recs))
+	if p.packed {
+		n := len(recs) * int(p.size)
+		dec.need(n)
+		dec.off += copy(unsafe.Slice((*byte)(base), n), dec.data[dec.off:])
+		return
+	}
+	p.decode(dec, base, len(recs))
 }
 
 // checkCount panics when n records cannot fit in dec's remaining bytes, so
@@ -159,31 +175,17 @@ func (p *flatPlan) encode(buf []byte, base unsafe.Pointer, n int) []byte {
 		for _, op := range p.ops {
 			f := unsafe.Add(rec, op.off)
 			switch op.kind {
-			case flatInt8:
-				buf = binary.AppendVarint(buf, int64(*(*int8)(f)))
-			case flatInt16:
-				buf = binary.AppendVarint(buf, int64(*(*int16)(f)))
-			case flatInt32:
-				buf = binary.AppendVarint(buf, int64(*(*int32)(f)))
-			case flatInt64:
-				buf = binary.AppendVarint(buf, *(*int64)(f))
-			case flatUint8:
-				buf = binary.AppendUvarint(buf, uint64(*(*uint8)(f)))
-			case flatUint16:
-				buf = binary.AppendUvarint(buf, uint64(*(*uint16)(f)))
-			case flatUint32:
-				buf = binary.AppendUvarint(buf, uint64(*(*uint32)(f)))
-			case flatUint64:
-				buf = binary.AppendUvarint(buf, *(*uint64)(f))
-			case flatFloat32:
-				buf = binary.LittleEndian.AppendUint32(buf, *(*uint32)(f))
-			case flatFloat64:
-				buf = binary.LittleEndian.AppendUint64(buf, *(*uint64)(f))
-			case flatBool:
+			case flat8, flatBool:
 				buf = append(buf, *(*uint8)(f))
+			case flat16:
+				buf = binary.LittleEndian.AppendUint16(buf, *(*uint16)(f))
+			case flat32:
+				buf = binary.LittleEndian.AppendUint32(buf, *(*uint32)(f))
+			case flat64:
+				buf = binary.LittleEndian.AppendUint64(buf, *(*uint64)(f))
 			case flatString:
 				s := *(*string)(f)
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 				buf = append(buf, s...)
 			}
 		}
@@ -191,96 +193,32 @@ func (p *flatPlan) encode(buf []byte, base unsafe.Pointer, n int) []byte {
 	return buf
 }
 
-// decode reads n records from data[off:] into the n-element array at base
-// and returns the new offset.
-func (p *flatPlan) decode(data []byte, off int, base unsafe.Pointer, n int) int {
-	var v int64
-	var u uint64
+// decode reads n records from d into the n-element array at base.
+func (p *flatPlan) decode(d *Decoder, base unsafe.Pointer, n int) {
 	for i := 0; i < n; i++ {
 		rec := unsafe.Add(base, uintptr(i)*p.size)
 		for _, op := range p.ops {
 			f := unsafe.Add(rec, op.off)
 			switch op.kind {
-			case flatInt8:
-				v, off = flatVarint(data, off)
-				flatRange(int64(int8(v)) == v)
-				*(*int8)(f) = int8(v)
-			case flatInt16:
-				v, off = flatVarint(data, off)
-				flatRange(int64(int16(v)) == v)
-				*(*int16)(f) = int16(v)
-			case flatInt32:
-				v, off = flatVarint(data, off)
-				flatRange(int64(int32(v)) == v)
-				*(*int32)(f) = int32(v)
-			case flatInt64:
-				*(*int64)(f), off = flatVarint(data, off)
-			case flatUint8:
-				u, off = flatUvarint(data, off)
-				flatRange(uint64(uint8(u)) == u)
-				*(*uint8)(f) = uint8(u)
-			case flatUint16:
-				u, off = flatUvarint(data, off)
-				flatRange(uint64(uint16(u)) == u)
-				*(*uint16)(f) = uint16(u)
-			case flatUint32:
-				u, off = flatUvarint(data, off)
-				flatRange(uint64(uint32(u)) == u)
-				*(*uint32)(f) = uint32(u)
-			case flatUint64:
-				*(*uint64)(f), off = flatUvarint(data, off)
-			case flatFloat32:
-				flatNeed(data, off, 4)
-				*(*uint32)(f) = binary.LittleEndian.Uint32(data[off:])
-				off += 4
-			case flatFloat64:
-				flatNeed(data, off, 8)
-				*(*uint64)(f) = binary.LittleEndian.Uint64(data[off:])
-				off += 8
+			case flat8:
+				*(*uint8)(f) = d.Uint8()
+			case flat16:
+				d.need(2)
+				*(*uint16)(f) = binary.LittleEndian.Uint16(d.data[d.off:])
+				d.off += 2
+			case flat32:
+				*(*uint32)(f) = d.Uint32()
+			case flat64:
+				*(*uint64)(f) = d.Uint64()
 			case flatBool:
-				flatNeed(data, off, 1)
-				flatRange(data[off] <= 1)
-				*(*uint8)(f) = data[off]
-				off++
-			case flatString:
-				u, off = flatUvarint(data, off)
-				if u > uint64(len(data)-off) {
-					panic(fmt.Sprintf("codec: truncated input: string of %d bytes at offset %d of %d", u, off, len(data)))
+				v := d.Uint8()
+				if v > 1 {
+					panic("codec: corrupt flat record: bool byte is neither 0 nor 1")
 				}
-				*(*string)(f) = string(data[off : off+int(u)])
-				off += int(u)
+				*(*uint8)(f) = v
+			case flatString:
+				*(*string)(f) = d.String()
 			}
 		}
-	}
-	return off
-}
-
-// flatVarint reads one zig-zag varint at data[off:].
-func flatVarint(data []byte, off int) (int64, int) {
-	u, off := flatUvarint(data, off)
-	return int64(u>>1) ^ -int64(u&1), off
-}
-
-// flatUvarint reads one uvarint at data[off:].
-func flatUvarint(data []byte, off int) (uint64, int) {
-	if off < len(data) && data[off] < 0x80 {
-		return uint64(data[off]), off + 1
-	}
-	v, w := binary.Uvarint(data[off:])
-	if w <= 0 {
-		panic(fmt.Sprintf("codec: truncated or overlong varint at offset %d of %d", off, len(data)))
-	}
-	return v, off + w
-}
-
-func flatNeed(data []byte, off, n int) {
-	if len(data)-off < n {
-		panic(fmt.Sprintf("codec: truncated input: need %d bytes at offset %d of %d", n, off, len(data)))
-	}
-}
-
-func flatRange(ok bool) {
-	if !ok {
-		panic("codec: corrupt flat record: value out of range for its field")
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"naiad/internal/testutil"
 )
 
 // kv mirrors lib.Pair (lib imports codec, so the tests cannot).
@@ -48,9 +51,9 @@ type nested struct {
 func refEncode(buf []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.AppendVarint(buf, v.Int())
+		return refPutFixed(buf, uint64(v.Int()), int(v.Type().Size()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return binary.AppendUvarint(buf, v.Uint())
+		return refPutFixed(buf, v.Uint(), int(v.Type().Size()))
 	case reflect.Float32:
 		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v.Float())))
 	case reflect.Float64:
@@ -61,7 +64,7 @@ func refEncode(buf []byte, v reflect.Value) []byte {
 		}
 		return append(buf, 0)
 	case reflect.String:
-		buf = binary.AppendUvarint(buf, uint64(v.Len()))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Len()))
 		return append(buf, v.String()...)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
@@ -77,53 +80,47 @@ func refEncode(buf []byte, v reflect.Value) []byte {
 	panic("refEncode: not a flat kind: " + v.Kind().String())
 }
 
+// refPutFixed appends the low size bytes of x, least significant first.
+func refPutFixed(buf []byte, x uint64, size int) []byte {
+	for i := 0; i < size; i++ {
+		buf = append(buf, byte(x>>(8*i)))
+	}
+	return buf
+}
+
 // refDecode fills v from data[off:] and returns the new offset; it panics
 // with a "ref:" message on anything flat.go must also refuse.
 func refDecode(v reflect.Value, data []byte, off int) int {
-	uvarint := func() uint64 {
-		u, w := binary.Uvarint(data[off:])
-		if w <= 0 {
-			panic("ref: bad varint")
-		}
-		off += w
-		return u
-	}
-	need := func(n int) {
-		if len(data)-off < n {
+	fixed := func(size int) uint64 {
+		if len(data)-off < size {
 			panic("ref: truncated")
 		}
+		var x uint64
+		for i := 0; i < size; i++ {
+			x |= uint64(data[off+i]) << (8 * i)
+		}
+		off += size
+		return x
 	}
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		u := uvarint()
-		x := int64(u>>1) ^ -int64(u&1)
-		if v.OverflowInt(x) {
-			panic("ref: int out of range")
-		}
-		v.SetInt(x)
+		size := int(v.Type().Size())
+		shift := 64 - 8*size
+		v.SetInt(int64(fixed(size)<<shift) >> shift) // sign-extend
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		u := uvarint()
-		if v.OverflowUint(u) {
-			panic("ref: uint out of range")
-		}
-		v.SetUint(u)
+		v.SetUint(fixed(int(v.Type().Size())))
 	case reflect.Float32:
-		need(4)
-		v.Set(reflect.ValueOf(math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))))
-		off += 4
+		v.Set(reflect.ValueOf(math.Float32frombits(uint32(fixed(4)))))
 	case reflect.Float64:
-		need(8)
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
-		off += 8
+		v.SetFloat(math.Float64frombits(fixed(8)))
 	case reflect.Bool:
-		need(1)
-		if data[off] > 1 {
+		b := fixed(1)
+		if b > 1 {
 			panic("ref: bad bool")
 		}
-		v.SetBool(data[off] == 1)
-		off++
+		v.SetBool(b == 1)
 	case reflect.String:
-		l := uvarint()
+		l := fixed(4)
 		if l > uint64(len(data)-off) {
 			panic("ref: truncated string")
 		}
@@ -284,12 +281,142 @@ func TestFlatCodec(t *testing.T) {
 	checkFlat(t, kv[int64, int64]{}, nil) // the empty column encodes to nothing
 }
 
-// A corrupt count must be refused before it sizes an allocation.
+// A corrupt count must be refused before it sizes an allocation, and a
+// packed column one byte short is refused by the count check and, when the
+// count is not checked, by the copy.
 func TestFlatCountChecked(t *testing.T) {
 	c := Gob[kv[int64, int64]]().(BatchCodec)
 	err := Catch(func() { c.DecodeBatchCol(NewDecoder([]byte{2, 2, 4, 4}), 1<<30) })
 	if err == nil || !strings.Contains(err.Error(), "corrupt count") {
 		t.Fatalf("1<<30 records in 4 bytes: %v", err)
+	}
+	err = Catch(func() { c.DecodeBatchCol(NewDecoder(make([]byte, 31)), 2) })
+	if err == nil || !strings.Contains(err.Error(), "corrupt count") {
+		t.Fatalf("2 packed records in 31 bytes: %v", err)
+	}
+	p := c.(gobCodec[kv[int64, int64]]).s.flat
+	err = Catch(func() { flatDecode(p, NewDecoder(make([]byte, 31)), make([]kv[int64, int64], 2)) })
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("unchecked packed copy of 2 records from 31 bytes: %v", err)
+	}
+}
+
+// seededColumn returns n records of T decoded by the reference walker from
+// seeded random bytes: every leaf of a packed type takes any bit pattern.
+func seededColumn[T any](t *testing.T, rng *rand.Rand, n int) []T {
+	t.Helper()
+	raw := make([]byte, n*int(reflect.TypeFor[T]().Size()))
+	rng.Read(raw)
+	recs, err := refDecodeAll[T](raw, n)
+	if err != nil {
+		t.Fatalf("%T: seeded column: %v", *new(T), err)
+	}
+	return recs
+}
+
+// checkPacked holds one packed type's single copy to the per-leaf loop:
+// both write the reference walker's bytes and decode to the same column.
+func checkPacked[T any](t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	p := Gob[T]().(gobCodec[T]).s.flat
+	if p == nil || !p.packed {
+		t.Fatalf("%T: plan %+v is not packed", *new(T), p)
+	}
+	loop := *p
+	loop.packed = false
+	for _, n := range []int{0, 1, 3, 1000} {
+		recs := seededColumn[T](t, rng, n)
+		want := refEncodeAll(recs)
+		for _, plan := range []*flatPlan{p, &loop} {
+			enc := NewEncoder(0)
+			flatEncode(plan, enc, recs)
+			if !bytes.Equal(enc.Bytes(), want) {
+				t.Fatalf("%T n=%d packed=%v: bytes %x, reference %x", *new(T), n, plan.packed, enc.Bytes(), want)
+			}
+			out := make([]T, n)
+			dec := NewDecoder(want)
+			flatDecode(plan, dec, out)
+			if dec.Remaining() != 0 || !bytes.Equal(refEncodeAll(out), want) {
+				t.Fatalf("%T n=%d packed=%v: decoded %+v (%d bytes left), want %+v", *new(T), n, plan.packed, out, dec.Remaining(), recs)
+			}
+		}
+	}
+}
+
+func TestFlatPackedMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(testutil.Seed(t)))
+	type mixed struct {
+		A int32
+		B uint32
+		C float64
+	}
+	type native struct {
+		I int
+		U uint
+	}
+	checkPacked[kv[int64, int64]](t, rng)
+	checkPacked[[4]uint16](t, rng)
+	checkPacked[mixed](t, rng)
+	checkPacked[native](t, rng)
+	checkPacked[kv[int8, [3]int8]](t, rng)
+}
+
+// Padding, bool and string take the per-leaf loop.
+func TestFlatUnpackedTypes(t *testing.T) {
+	type padded struct {
+		A int8
+		B int64
+	}
+	for name, typ := range map[string]reflect.Type{
+		"padded struct": reflect.TypeFor[padded](),
+		"bool":          reflect.TypeFor[bool](),
+		"string":        reflect.TypeFor[string](),
+		"string pair":   reflect.TypeFor[kv[string, int64]](),
+		"bool field":    reflect.TypeFor[kv[int64, bool]](),
+	} {
+		if p := newFlatPlan(typ); p == nil || p.packed {
+			t.Errorf("%s: plan %+v, want an unpacked plan", name, p)
+		}
+	}
+	checkFlat(t, padded{A: 9}, []padded{{}, {A: -1, B: math.MinInt64}, {A: math.MaxInt8, B: 1}})
+	checkFlat(t, true, []bool{false, true, true})
+}
+
+// Gob's flat mode writes exactly the bytes of the hand-written codecs for
+// their record types, and each decodes the other's frames.
+func TestGobMatchesFixedCodecs(t *testing.T) {
+	rng := rand.New(rand.NewSource(testutil.Seed(t)))
+	const n = 257
+	ints, floats, strs := make([]any, n), make([]any, n), make([]any, n)
+	for i := 0; i < n; i++ {
+		ints[i] = int64(rng.Uint64())
+		floats[i] = math.Float64frombits(rng.Uint64())
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		strs[i] = string(b)
+	}
+	for _, c := range []struct {
+		name       string
+		gob, fixed Codec
+		recs       []any
+	}{
+		{"int64", Gob[int64](), Int64(), ints},
+		{"float64", Gob[float64](), Float64(), floats},
+		{"string", Gob[string](), String(), strs},
+	} {
+		g, f := NewEncoder(0), NewEncoder(0)
+		c.gob.EncodeBatch(g, c.recs)
+		c.fixed.EncodeBatch(f, c.recs)
+		if !bytes.Equal(g.Bytes(), f.Bytes()) {
+			t.Fatalf("%s: Gob bytes %x\nfixed codec bytes %x", c.name, g.Bytes(), f.Bytes())
+		}
+		for _, pair := range [][2]Codec{{c.gob, c.fixed}, {c.fixed, c.gob}} {
+			e := NewEncoder(0)
+			pair[0].EncodeBatch(e, pair[1].DecodeBatch(NewDecoder(f.Bytes()), n))
+			if !bytes.Equal(e.Bytes(), f.Bytes()) {
+				t.Fatalf("%s: cross decode changed the column", c.name)
+			}
+		}
 	}
 }
 

@@ -15,9 +15,11 @@ import (
 //
 //  1. Flat plan (flat.go). T is built only from fixed-width ints, floats,
 //     bool, string, and exported-field structs and arrays of those, with no
-//     custom gob/binary marshalling: a compiled (offset, kind) plan encodes
+//     custom gob/binary marshalling: a compiled (offset, width) plan encodes
 //     and decodes whole []T columns with no reflection, straight into and
-//     out of pooled typed columns. No gob is involved and no priming is paid.
+//     out of pooled typed columns, in Encoder's fixed-width little-endian
+//     form. A T of numbers with no padding is one copy of the column's
+//     memory each way. No gob is involved and no priming is paid.
 //  2. Primed value-only gob. Any other type whose gob descriptor set is
 //     closed (no interface anywhere in its type graph).
 //  3. Self-contained gob. Everything else: a fresh encoder/decoder per frame.

@@ -195,10 +195,13 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 // cutVersion is the NSNP format version of an encoded CutSnapshot. Version
 // 4 folded the pending-notification section into the one obligations
 // section. Version 5 has v4's layout, but its deferred channel frames are in
-// codec.Gob's flat form where v4 binaries wrote gob. Every other version —
-// older cut layouts, and version 1, a retired stop-the-world format — is
-// refused with ErrCutVersion.
-const cutVersion = 5
+// codec.Gob's flat form where v4 binaries wrote gob. Version 6 has v5's
+// layout, but the flat form writes fixed-width little-endian numbers and
+// uint32 string lengths where v5 wrote varints, so a v5 frame would decode
+// to wrong records rather than fail. Every other version — older cut
+// layouts, and version 1, a retired stop-the-world format — is refused with
+// ErrCutVersion.
+const cutVersion = 6
 
 // ErrCutVersion is wrapped into UnmarshalCut's error for well-formed NSNP
 // bytes of any other format version. Callers treat it like a corrupt
@@ -220,9 +223,23 @@ func putTimestamp(e *codec.Encoder, t ts.Timestamp) {
 }
 
 // EncodeCut serializes a snapshot for durable storage, framed with the
-// versioned, checksummed NSNP header.
+// versioned, checksummed NSNP header. The buffer is sized up front from the
+// state and channel bytes, which are nearly all of a cut, so a large cut is
+// written once instead of regrown and copied.
 func EncodeCut(s *CutSnapshot) []byte {
-	enc := codec.NewEncoder(1024)
+	size := snapshotHeaderSize + 1024
+	for _, m := range s.Vertices {
+		for _, data := range m {
+			size += 8 + len(data)
+		}
+	}
+	for _, ch := range s.Channels {
+		size += 4 + len(ch)
+	}
+	enc := codec.NewEncoder(size)
+	enc.PutUint32(snapshotMagic)
+	enc.PutUint32(cutVersion)
+	enc.PutUint32(0) // the body's checksum, filled in below
 	enc.PutInt64(s.Cut)
 	enc.PutInt64(s.Epoch)
 	enc.PutUint32(uint32(len(s.Vertices)))
@@ -269,12 +286,8 @@ func EncodeCut(s *CutSnapshot) []byte {
 			}
 		}
 	}
-	body := enc.Bytes()
-	out := make([]byte, snapshotHeaderSize+len(body))
-	binary.LittleEndian.PutUint32(out[0:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(out[4:8], cutVersion)
-	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(body, snapshotCRC))
-	copy(out[snapshotHeaderSize:], body)
+	out := enc.Bytes()
+	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(out[snapshotHeaderSize:], snapshotCRC))
 	return out
 }
 

@@ -214,7 +214,7 @@ func TestCutRoundTripMixedObligations(t *testing.T) {
 	if !reflect.DeepEqual(got, cut) {
 		t.Fatalf("cut round trip:\n got %+v\nwant %+v", got, cut)
 	}
-	for _, v := range []uint32{1, 2, 3, 4, 6} {
+	for _, v := range []uint32{1, 2, 3, 4, 5, 7} {
 		if _, err := UnmarshalCut(withCutVersion(data, v)); !errors.Is(err, ErrCutVersion) {
 			t.Errorf("version %d: got %v, want ErrCutVersion", v, err)
 		}

@@ -515,16 +515,21 @@ func TestSupervisorGivesUp(t *testing.T) {
 // batch is pruned once two snapshots exist, so only a restore from the
 // older snapshot (never a replay from scratch) can complete the run.
 func TestSupervisorFallsBackPastCorruptSnapshot(t *testing.T) {
+	oldCutVersion := func(v uint32) func(*testing.T, []byte) {
+		return func(t *testing.T, data []byte) {
+			binary.LittleEndian.PutUint32(data[4:8], v) // the checksum covers the body only
+			if _, err := runtime.UnmarshalCut(data); !errors.Is(err, runtime.ErrCutVersion) {
+				t.Fatalf("v%d cut bytes: got %v, want ErrCutVersion", v, err)
+			}
+		}
+	}
 	damage := map[string]func(*testing.T, []byte){
 		"bit rot": func(_ *testing.T, data []byte) { data[len(data)-1] ^= 0x40 },
-		// v4: the last layout-identical version, whose channel frames a
-		// pre-flat-codec binary wrote in gob.
-		"cut version 4": func(t *testing.T, data []byte) {
-			binary.LittleEndian.PutUint32(data[4:8], 4) // the checksum covers the body only
-			if _, err := runtime.UnmarshalCut(data); !errors.Is(err, runtime.ErrCutVersion) {
-				t.Fatalf("v4 cut bytes: got %v, want ErrCutVersion", err)
-			}
-		},
+		// v4 and v5: the layout-identical versions, whose channel frames a
+		// pre-flat-codec binary wrote in gob and a varint flat codec wrote
+		// in varints.
+		"cut version 4": oldCutVersion(4),
+		"cut version 5": oldCutVersion(5),
 	}
 	for name, spoil := range damage {
 		t.Run(name, func(t *testing.T) {

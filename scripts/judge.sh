@@ -7,9 +7,11 @@
 #
 # BASE is checked out as a `git worktree` (or, if it names a directory, that
 # checkout is used as is). Pair n runs seed n on both sides; the side that
-# goes first flips every pair. Prints every pair's four metrics, then
-# compare's table as markdown. Exits non-zero on any "worse" row; an
-# "unresolved" row (spread wider than the bound) is reported, not failed.
+# goes first flips every pair. Prints every pair's four metrics, its steal
+# share and its failed/attempted operations (marked INVALID when the run
+# log says its paced phase was voided by generator lateness), then compare's
+# table as markdown. Exits non-zero on any "worse" row; an "unresolved" row
+# (spread wider than the bound) is reported, not failed.
 set -euo pipefail
 for kv in "$@"; do export "$kv"; done
 : "${BASE:?usage: scripts/judge.sh BASE=<rev|checkout> [WORKLOADS=...] [PAIRS=10]}"
@@ -46,13 +48,15 @@ run() {
 	line="$(tail -n 1 "$log")"
 	dists="$(sed -n 's/^dists: //p' "$log")"
 	echo "${line%?},\"dists\":${dists:-null}}" >>"$out/$1.$3.runs"
-	printf '| %s | %s | %s | %s | %s | %s | %s | %s |\n' "$3" "$4" "$1" "$(val "$line" latency_ms_p50)" \
+	printf '| %s | %s | %s | %s | %s | %s | %s | %s | %s/%s%s |\n' "$3" "$4" "$1" "$(val "$line" latency_ms_p50)" \
 		"$(val "$line" throughput_rps)" "$(val "$line" peak_rss_mb)" "$(val "$line" setup_s)" \
-		"$(sed -n 's/.*"steal_share":\([0-9.e-]*\).*/\1/p' "$log")"
+		"$(sed -n 's/.*"steal_share":\([0-9.e-]*\).*/\1/p' "$log")" \
+		"$(awk '$1=="ops_failed"{print $2}' "$log")" "$(awk '$1=="ops_attempted"{print $2}' "$log")" \
+		"$(grep -q '^note: paced phase INVALID' "$log" && echo ' INVALID' || true)"
 }
 
-echo "| workload | seed | side | latency_ms_p50 | throughput_rps | peak_rss_mb | setup_s | steal_share |"
-echo "|---|---|---|---|---|---|---|---|"
+echo "| workload | seed | side | latency_ms_p50 | throughput_rps | peak_rss_mb | setup_s | steal_share | failed/attempted |"
+echo "|---|---|---|---|---|---|---|---|---|"
 for w in $WORKLOADS; do
 	for n in $(seq 1 "$PAIRS"); do
 		if ((n % 2)); then run parent "$parent" "$w" "$n"; run change "$root" "$w" "$n"
