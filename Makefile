@@ -97,7 +97,7 @@ soak:
 		seed=$$((20130101 + i)); \
 		echo "== soak iteration $$i/$(SOAK_ITERS) (NAIAD_TEST_SEED=$$seed) =="; \
 		NAIAD_TEST_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestSupervisor|TestSupervisedChaosCrashRecovery|TestChaosCrashThenCheckpointRecovery|TestChaosPartitionWatchdogAbortThenReplayRecovery|TestLostFrameAbortsComputation|TestSinkExactlyOnceAcrossLostFrame|TestTCPDeadLink|TestTCPSocketDeath|TestTCPCorruptHeader|TestTCPCloseDuringConcurrentSend' \
+			-run 'TestSupervisor|TestSupervisedChaosCrashRecovery|TestChaosCrashThenCheckpointRecovery|TestChaosPartitionWatchdogAbortThenReplayRecovery|TestLostFrameAbortsComputation|TestSinkExactlyOnceAcrossLostFrame|TestTCPDeadLink|TestTCPSocketDeath|TestTCPCorruptHeader|TestTCPCloseDuringConcurrentSend|TestChaosDroppedMarkerReported' \
 			./internal/supervise/ ./internal/kexposure/ ./internal/runtime/ ./internal/transport/; \
 	done
 
@@ -105,14 +105,14 @@ soak:
 # chaos, the randomized recovery simulation, and selective rollback — under
 # the race detector, SOAK_ITERS times with distinct seeds. Each iteration's
 # schedule is drawn from its seed, so a failure replays exactly with the
-# printed NAIAD_TEST_SEED; the suite itself uses no wall-clock scheduling
-# beyond the bounded cut-settle and revival timeouts.
+# printed NAIAD_TEST_SEED; the supervisor itself schedules nothing by the
+# wall clock, so only the runtime watchdog ever times out.
 soak-recovery:
 	@set -e; for i in $$(seq 1 $(SOAK_ITERS)); do \
 		seed=$$((20130101 + 1000 * i)); \
 		echo "== soak-recovery iteration $$i/$(SOAK_ITERS) (NAIAD_TEST_SEED=$$seed) =="; \
 		NAIAD_TEST_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestSeededRecoverySimulation|TestSimulationMidBarrierWorkerCrash|TestBarrierChaos|TestBarrierCrash|TestSelectiveRollback|TestCutSettleTimeout' \
+			-run 'TestSeededRecoverySimulation|TestSimulationMidBarrierWorkerCrash|TestBarrierChaos|TestBarrierCrash|TestSelectiveRollback|TestLostMarker' \
 			./internal/supervise/; \
 	done
 

@@ -478,36 +478,41 @@ func Of[T any](records []T) *Batch {
 }
 
 // Byte-buffer arena: size-classed pooled frame buffers for the transport
-// receive path. GetBytes returns a zeroed-length buffer with capacity ≥ n;
-// PutBytes recycles a buffer whose capacity matches a size class exactly
-// and silently drops any other (so foreign slices are safe to offer).
+// receive path. A class holds a power of two plus bytesHeadroom, so a data
+// frame whose records fill a power of two fits the class of its records
+// with its envelope header (25 B + 8 per loop counter) beside them, instead
+// of spilling into the next class and wasting half of it. GetBytes returns
+// a zeroed-length buffer with capacity ≥ n; PutBytes recycles a buffer
+// whose capacity matches a size class exactly and silently drops any other
+// (so foreign slices are safe to offer).
 const (
-	minBytesClass = 8  // 1<<8 = 256 B
-	maxBytesClass = 20 // 1<<20 = 1 MiB
+	minBytesClass = 8  // 1<<8 + bytesHeadroom = 320 B
+	maxBytesClass = 20 // 1<<20 + bytesHeadroom ≈ 1 MiB
+	bytesHeadroom = 64
 )
 
 var bytePools [maxBytesClass - minBytesClass + 1]sync.Pool
 
 func bytesClass(n int) int {
 	c := minBytesClass
-	for n > 1<<c {
+	for n > 1<<c+bytesHeadroom {
 		c++
 	}
 	return c
 }
 
 // GetBytes returns a length-n buffer from the arena (capacity is the
-// enclosing power-of-two size class). Requests beyond the largest class
-// fall back to a plain allocation.
+// enclosing size class). Requests beyond the largest class fall back to a
+// plain allocation.
 func GetBytes(n int) []byte {
-	if n > 1<<maxBytesClass {
+	if n > 1<<maxBytesClass+bytesHeadroom {
 		return make([]byte, n)
 	}
 	c := bytesClass(n)
 	if v := bytePools[c-minBytesClass].Get(); v != nil {
 		return v.([]byte)[:n]
 	}
-	return make([]byte, n, 1<<c)
+	return make([]byte, n, 1<<c+bytesHeadroom)
 }
 
 // PutBytes recycles a buffer previously returned by GetBytes. Buffers whose
@@ -516,7 +521,7 @@ func GetBytes(n int) []byte {
 // or any view of it — after PutBytes.
 func PutBytes(b []byte) {
 	c := cap(b)
-	if c < 1<<minBytesClass || c > 1<<maxBytesClass || c&(c-1) != 0 {
+	if p := c - bytesHeadroom; p < 1<<minBytesClass || p > 1<<maxBytesClass || p&(p-1) != 0 {
 		return
 	}
 	cls := bytesClass(c)

@@ -144,22 +144,37 @@ func TestNewLikeOnUnpooledBatch(t *testing.T) {
 
 func TestByteArena(t *testing.T) {
 	b := GetBytes(300)
-	if len(b) != 300 || cap(b) != 512 {
-		t.Fatalf("GetBytes(300): len %d cap %d, want 300/512", len(b), cap(b))
+	if len(b) != 300 || cap(b) != 320 {
+		t.Fatalf("GetBytes(300): len %d cap %d, want 300/320", len(b), cap(b))
 	}
 	PutBytes(b)
-	b2 := GetBytes(400)
-	if cap(b2) != 512 {
+	b2 := GetBytes(310)
+	if cap(b2) != 320 {
 		t.Fatalf("size class not reused: cap %d", cap(b2))
 	}
 	// Foreign capacities are silently dropped.
 	PutBytes(make([]byte, 0, 300))
+	PutBytes(make([]byte, 0, 512))
 	// Oversize requests fall back to plain allocation.
-	huge := GetBytes(1<<20 + 1)
-	if len(huge) != 1<<20+1 {
+	huge := GetBytes(1<<20 + bytesHeadroom + 1)
+	if len(huge) != 1<<20+bytesHeadroom+1 {
 		t.Fatalf("oversize GetBytes wrong length")
 	}
 	PutBytes(huge)
+}
+
+// TestByteArenaFitsDataFrame: a data frame of 8192 16-byte records plus its
+// envelope header (25 B + 8 per loop counter) lands in a class that wastes
+// at most a third of the buffer. A power-of-two class wasted half of it.
+func TestByteArenaFitsDataFrame(t *testing.T) {
+	for depth := 0; depth <= 4; depth++ {
+		n := 8192*16 + 25 + 8*depth
+		b := GetBytes(n)
+		if len(b) != n || 2*cap(b) > 3*n {
+			t.Fatalf("GetBytes(%d): len %d cap %d, want the length and at most a third wasted", n, len(b), cap(b))
+		}
+		PutBytes(b)
+	}
 }
 
 func TestColReleaseClearsData(t *testing.T) {

@@ -240,7 +240,7 @@ func TestSupervisedChaosCrashRecovery(t *testing.T) {
 		}, nil
 	}
 	store := &notifyingStore{MemStore: supervise.NewMemStore(3), after: 2, done: make(chan struct{})}
-	sup, err := supervise.New(supervise.Config{Factory: factory, Store: store, Seed: seed})
+	sup, err := supervise.New(supervise.Config{Factory: factory, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,6 +183,24 @@ func TestCanonicalBytesMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCanonicalBytesSizesArenaOnce: the arena is sized once, from the
+// first record's encoded width, so an epoch of 4096 records costs no more
+// allocations than one of 16. Grown record by record, it cost one more
+// allocation per doubling.
+func TestCanonicalBytesSizesArenaOnce(t *testing.T) {
+	cod := codec.Gob[Pair[int64, int64]]()
+	allocs := func(n int) float64 {
+		recs := make([]Pair[int64, int64], n)
+		for i := range recs {
+			recs[i] = KV(int64(i*7919)%1000003, int64(i%17+1))
+		}
+		return testing.AllocsPerRun(20, func() { canonicalBytes(cod, recs) })
+	}
+	if small, large := allocs(16), allocs(4096); large > small {
+		t.Fatalf("canonicalBytes allocates %.0f times for 4096 records, %.0f for 16: the arena grows with the epoch", large, small)
+	}
+}
+
 // rawString encodes a string record as its bare bytes, with no length, so
 // one record's encoding can be a prefix of another's. It decodes one record
 // from whatever bytes remain, which is all a canonical sink batch asks.

@@ -226,16 +226,25 @@ func canonicalBytes[T any](cod codec.Codec, recs []T) []byte {
 		key    uint64
 		lo, hi int
 	}
-	var arena codec.Encoder
-	spans := make([]span, len(recs))
 	se, _ := cod.(codec.SliceEncoder[T])
+	encode := func(enc *codec.Encoder, i int) {
+		if se != nil {
+			se.EncodeSlice(enc, recs[i:i+1]) // typed: nothing is boxed
+		} else {
+			cod.EncodeBatch(enc, []any{recs[i]})
+		}
+	}
+	// Records of one type mostly share one encoded width: the arena is
+	// sized once, from the first record's, not grown record by record.
+	var first codec.Encoder
+	if len(recs) > 0 {
+		encode(&first, 0)
+	}
+	arena := codec.NewEncoder(len(first.Bytes()) * len(recs))
+	spans := make([]span, len(recs))
 	for i := range recs {
 		lo := len(arena.Bytes())
-		if se != nil {
-			se.EncodeSlice(&arena, recs[i:i+1]) // typed: nothing is boxed
-		} else {
-			cod.EncodeBatch(&arena, []any{recs[i]})
-		}
+		encode(arena, i)
 		spans[i] = span{lo: lo, hi: len(arena.Bytes())}
 	}
 	buf := arena.Bytes()

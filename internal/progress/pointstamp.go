@@ -49,14 +49,6 @@ type Update struct {
 	D int64
 }
 
-// EncodedSize returns the number of bytes the update occupies on the wire:
-// 4 (location) + 8 (epoch) + 1 (depth) + 8·depth (counters) + 8 (delta).
-// This mirrors the codec used by the transport layer and feeds the traffic
-// accounting of Figure 6c.
-func (u Update) EncodedSize() int {
-	return 4 + 8 + 1 + 8*int(u.P.Time.Depth) + 8
-}
-
 // SortUpdates orders a batch positives-first (the safety requirement of
 // §3.3: "positive values must be sent before negative values"), with a
 // deterministic pointstamp order within each sign class.

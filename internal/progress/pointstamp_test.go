@@ -22,17 +22,6 @@ func TestPointstampLessDeterministic(t *testing.T) {
 	}
 }
 
-func TestEncodedSize(t *testing.T) {
-	u := Update{P: Pointstamp{Time: ts.Root(0)}, D: 1}
-	if got := u.EncodedSize(); got != 4+8+1+8 {
-		t.Fatalf("depth-0 size = %d", got)
-	}
-	u2 := Update{P: Pointstamp{Time: ts.Make(0, 1, 2)}, D: 1}
-	if got := u2.EncodedSize(); got != 4+8+1+16+8 {
-		t.Fatalf("depth-2 size = %d", got)
-	}
-}
-
 func TestBufferCombinesAndCancels(t *testing.T) {
 	b := NewBuffer()
 	p := Pointstamp{Time: ts.Root(0), Loc: graph.StageLoc(0)}
@@ -84,29 +73,4 @@ func TestAddAll(t *testing.T) {
 	if got := b.Drain(); len(got) != 1 || got[0].D != 2 {
 		t.Fatalf("AddAll combined = %v", got)
 	}
-}
-
-func TestStats(t *testing.T) {
-	var s Stats
-	p := Pointstamp{Time: ts.Root(0), Loc: graph.StageLoc(0)}
-	s.CountRemote([]Update{{P: p, D: 1}, {P: p, D: -1}})
-	s.CountRemote(nil) // no-op
-	s.CountFlush()
-	if s.RemoteMessages() != 1 || s.UpdatesSent() != 2 {
-		t.Fatalf("messages=%d updates=%d", s.RemoteMessages(), s.UpdatesSent())
-	}
-	if s.RemoteBytes() != 2*21 {
-		t.Fatalf("bytes = %d", s.RemoteBytes())
-	}
-	if s.Flushes() != 1 {
-		t.Fatalf("flushes = %d", s.Flushes())
-	}
-	s.Reset()
-	if s.RemoteBytes() != 0 || s.RemoteMessages() != 0 || s.Flushes() != 0 || s.UpdatesSent() != 0 {
-		t.Fatal("reset")
-	}
-	// nil receiver is a no-op for convenience in unwired paths.
-	var nilStats *Stats
-	nilStats.CountRemote([]Update{{P: p, D: 1}})
-	nilStats.CountFlush()
 }

@@ -171,8 +171,7 @@ type Computation struct {
 	failMu   sync.Mutex
 	failErr  error
 
-	monitor  *progress.SafetyMonitor
-	activity atomic.Int64 // bumped on every mailbox push and worker quantum
+	monitor *progress.SafetyMonitor
 
 	// Asynchronous barrier snapshots / selective rollback (see barrier.go).
 	onCut         func(cut int64, snap *CutSnapshot, err error)
@@ -393,14 +392,12 @@ func (c *Computation) Start() error {
 	return nil
 }
 
-// watchdog aborts the computation when no activity is observed for the
+// watchdog aborts the computation when no vertex callback runs for the
 // configured duration — the never-hang backstop for fault injection.
 func (c *Computation) watchdog() {
-	interval := c.cfg.Watchdog
-	last := c.activity.Load()
-	t := time.NewTimer(interval)
+	t := time.NewTicker(c.cfg.Watchdog)
 	defer t.Stop()
-	for {
+	for last := int64(0); ; {
 		select {
 		case <-c.abortCh:
 			return
@@ -409,13 +406,15 @@ func (c *Computation) watchdog() {
 		if c.finished.Load() {
 			return
 		}
-		cur := c.activity.Load()
+		var cur int64 // callbacks so far, from observe's per-stage counters
+		for i := range c.counters.records {
+			cur += c.counters.records[i].Load() + c.counters.notifications[i].Load()
+		}
 		if cur == last {
-			c.fail(fmt.Errorf("runtime: watchdog: no worker activity for %v: computation stalled (lost frames or a dead peer?)", interval))
+			c.fail(fmt.Errorf("runtime: watchdog: no vertex callback for %v: computation stalled (lost frames or a dead peer?)", c.cfg.Watchdog))
 			return
 		}
 		last = cur
-		t.Reset(interval)
 	}
 }
 

@@ -78,11 +78,11 @@ type Config struct {
 	// cost is a mutex and an O(frontier×outstanding) scan per check.
 	SafetyChecks bool
 	// Watchdog, when positive, aborts the computation (with an error from
-	// Join) if no worker observes any activity for the duration — the
-	// never-hang backstop for fault-injection runs, where lost frames
-	// would otherwise stall the cluster forever. Leave zero for
-	// interactive computations that may legitimately sit idle between
-	// epochs.
+	// Join) if no vertex callback runs for the duration — frames arriving
+	// without a callback do not count — the never-hang backstop for
+	// fault-injection runs, where lost frames would otherwise stall the
+	// cluster forever. Leave zero for interactive computations that may
+	// legitimately sit idle between epochs.
 	Watchdog time.Duration
 	// BatchSize caps records per exchange batch; 0 means the default 1024.
 	BatchSize int

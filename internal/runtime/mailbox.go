@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"naiad/internal/batchbuf"
 	"naiad/internal/graph"
@@ -105,15 +104,14 @@ type controlMsg struct {
 // progress batches, and control messages, in arrival order. Pushes signal
 // the worker if it is parked.
 type mailbox struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []mailItem
-	closed   bool
-	activity *atomic.Int64 // computation-wide liveness counter (watchdog)
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  []mailItem
+	closed bool
 }
 
-func newMailbox(activity *atomic.Int64) *mailbox {
-	m := &mailbox{activity: activity}
+func newMailbox() *mailbox {
+	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -125,7 +123,6 @@ func (m *mailbox) push(it mailItem) {
 		m.items = append(m.items, it)
 	}
 	m.mu.Unlock()
-	m.activity.Add(1)
 	m.cond.Signal()
 }
 

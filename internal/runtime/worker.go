@@ -208,7 +208,7 @@ func newWorker(c *Computation, id, proc int) *worker {
 		comp:        c,
 		id:          id,
 		proc:        proc,
-		mailbox:     newMailbox(&c.activity),
+		mailbox:     newMailbox(),
 		pbuf:        progress.NewBuffer(),
 		outBatch:    make(map[outKey]*batchbuf.Batch),
 		notifyDirty: true,
@@ -566,7 +566,7 @@ func (w *worker) deliverBatch(d delivery) {
 // deliver runs a vertex's receive callback on batch b — the only place that
 // happens, for live delivery and log replay alike. The batch goes through the
 // BatchVertex fast path when the vertex has one, otherwise one OnRecv per
-// record; either way the delivery costs one activity bump and one time-stack
+// record; either way the delivery is observed once and costs one time-stack
 // frame, and the vertex's open send sessions flush before the callback's
 // re-entrancy count drops. The batch is borrowed — the caller keeps its
 // reference.
@@ -594,15 +594,15 @@ func (w *worker) deliver(vs *vertexState, input int, b *batchbuf.Batch, t ts.Tim
 	vs.timeStack = vs.timeStack[:len(vs.timeStack)-1]
 }
 
-// observe accounts for one callback about to run — the watchdog's activity
-// signal and n on the vertex's stage counter — and returns the tracer to
-// time it with, nil when tracing is off. A replayed callback rebuilds state
-// the original already accounted for: it is neither counted nor traced.
+// observe accounts for one callback about to run — n on the vertex's stage
+// counter, which the watchdog also reads as its activity signal — and
+// returns the tracer to time it with, nil when tracing is off. A replayed
+// callback rebuilds state the original already accounted for: it is neither
+// counted nor traced.
 func (w *worker) observe(counter []atomic.Int64, vs *vertexState, n int64) *trace.Tracer {
 	if w.replaying {
 		return nil
 	}
-	w.comp.activity.Add(1)
 	counter[vs.si.id].Add(n)
 	return w.tracer
 }

@@ -1,11 +1,13 @@
 package supervise_test
 
 // Tests for the asynchronous-barrier snapshot path: the synchronous-checkpoint
-// differential oracle, marker-level chaos (drop / duplicate / reorder must
-// stall or abort a cut, never tear it), crash-during-alignment fallback,
-// selective single-worker rollback, and the settle-timer liveness bound.
+// differential oracle, marker-level chaos (a lost marker must fail the
+// incarnation, a duplicate or reorder abort the cut — neither may tear
+// it), crash-during-alignment fallback, selective single-worker rollback,
+// and a lost marker releasing a deferred close.
 
 import (
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -117,7 +119,7 @@ func TestDifferentialCheckpointVsBarrierCut(t *testing.T) {
 	store := supervise.NewMemStore(epochs)
 	s := newEpochSink()
 	fact, _ := counterFactory(s, mk, nil)
-	sup, err := supervise.New(supervise.Config{Factory: fact, Store: store, Seed: testutil.Seed(t)})
+	sup, err := supervise.New(supervise.Config{Factory: fact, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,31 +169,55 @@ func TestDifferentialCheckpointVsBarrierCut(t *testing.T) {
 }
 
 // barrierChaosRun drives the pow-2 workload through a chaos transport with
-// the given control-frame faults on every link and incarnation, then
-// audits every persisted cut for tearing. Marker loss stalls cuts (the
-// settle timer aborts them), duplicates and reorders poison them — none
-// of it may corrupt a snapshot or kill the run.
+// the given control-frame faults on every link, then audits every persisted
+// cut for tearing. Duplicates and reorders poison cuts on every incarnation
+// and must cost only snapshots. A lost marker is a reported link failure,
+// so marker loss is drawn for incarnation 0 only — one that lost markers
+// in every incarnation would fail every recovery, like a mesh that dies in
+// every incarnation — and must cost the restart it causes. With loss in
+// play the feed waits for each epoch's output, so incarnation 0 injects a
+// cut at nearly every boundary: over lossyEpochs of them, a run that loses
+// no marker at all is vanishingly rare.
 func barrierChaosRun(t *testing.T, fault transport.Fault, epochs int) runtime.RecoverySnapshot {
 	t.Helper()
 	seed := testutil.Seed(t)
 	store := supervise.NewMemStore(4)
 	s := newEpochSink()
+	var comp0 *runtime.Computation
 	fact, incarnations := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
 		return &counter{ctx: ctx}
 	}, func(inc int64, cfg *runtime.Config) {
+		f := fault
+		if inc > 0 {
+			f.DropControlProb = 0
+		}
 		cfg.Transport = transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{
-			Seed: seed + inc, Default: fault,
+			Seed: seed + inc, Default: f,
 		})
 		cfg.SafetyChecks = true
 	})
 	sup, err := supervise.New(supervise.Config{
-		Factory: fact, Store: store, Seed: seed,
-		CutSettleTimeout: 250 * time.Millisecond,
+		Factory: func() (*supervise.Build, error) {
+			b, err := fact()
+			if err == nil && comp0 == nil {
+				comp0 = b.Comp
+			}
+			return b, err
+		},
+		Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedPow2(t, sup, epochs)
+	lossy := fault.DropControlProb > 0
+	for e := 0; e < epochs; e++ {
+		if err := sup.OnNext("in", int64(1)<<e); err != nil {
+			t.Fatal(err)
+		}
+		if lossy {
+			waitEpoch(t, s, int64(e))
+		}
+	}
 	if err := sup.CloseInput("in"); err != nil {
 		t.Fatal(err)
 	}
@@ -203,24 +229,41 @@ func barrierChaosRun(t *testing.T, fault transport.Fault, epochs int) runtime.Re
 		t.Fatalf("final epoch = %v, want [%d]: marker chaos corrupted the dataflow", got, want)
 	}
 	rec := sup.Recovery()
-	if rec.Restarts != 0 {
-		t.Fatalf("marker chaos restarted the computation %d times; it may only cost snapshots (%+v)", rec.Restarts, rec)
-	}
-	if incarnations.Load() != 1 {
-		t.Fatalf("built %d incarnations, want 1", incarnations.Load())
+	if lossy {
+		var le *transport.LinkError
+		if rec.Restarts < 1 || !errors.As(comp0.Err(), &le) {
+			t.Fatalf("marker loss: restarts = %d, incarnation 0 failed with %v; want a restart after a *transport.LinkError (%+v)",
+				rec.Restarts, comp0.Err(), rec)
+		}
+	} else if rec.Restarts != 0 || incarnations.Load() != 1 {
+		t.Fatalf("marker chaos restarted the computation %d times (%d incarnations); it may only cost snapshots (%+v)",
+			rec.Restarts, incarnations.Load(), rec)
 	}
 	auditCutStore(t, store)
 	return rec
 }
 
+// waitEpoch waits until the sink has seen epoch e's output.
+func waitEpoch(t *testing.T, s *epochSink, e int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.values(e)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("epoch %d never reached the sink", e)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBarrierChaosMarkerFaultsNeverTearCuts: each marker-level fault mode,
 // and all of them combined, at probabilities high enough that many cuts
-// are hit. The runs must complete with exact output, zero restarts, and
-// only untorn cuts in the store.
+// are hit. The runs must complete with exact output and only untorn cuts
+// in the store; duplicates and reorders with zero restarts, marker loss
+// with the restart its reported failure causes.
 func TestBarrierChaosMarkerFaultsNeverTearCuts(t *testing.T) {
-	const epochs = 12
+	const epochs, lossyEpochs = 12, 40
 	t.Run("drop", func(t *testing.T) {
-		barrierChaosRun(t, transport.Fault{DropControlProb: 0.25}, epochs)
+		barrierChaosRun(t, transport.Fault{DropControlProb: 0.25}, lossyEpochs)
 	})
 	t.Run("dup", func(t *testing.T) {
 		barrierChaosRun(t, transport.Fault{DupControlProb: 0.25}, epochs)
@@ -231,19 +274,29 @@ func TestBarrierChaosMarkerFaultsNeverTearCuts(t *testing.T) {
 	t.Run("all", func(t *testing.T) {
 		rec := barrierChaosRun(t, transport.Fault{
 			DropControlProb: 0.15, DupControlProb: 0.15, ReorderControlProb: 0.15,
-		}, epochs)
+		}, lossyEpochs)
 		if rec.Cuts == 0 && rec.CutAborts == 0 {
 			t.Fatalf("combined chaos run neither completed nor aborted any cut: %+v", rec)
 		}
 	})
 }
 
-// TestBarrierCrashMidAlignmentFallsBack: with every cross-process marker
-// eaten, no cut can ever complete — cut 1 is permanently mid-alignment
-// when the process crashes. Recovery must fall back to the last complete
-// snapshot (here: none — a full epoch-0 replay) and still produce the
-// reference output; the second, healthy incarnation then checkpoints
-// normally.
+// markerHold withholds every cross-process barrier marker, as a link too
+// slow to deliver one before the crash does: cut 1 stays mid-alignment.
+type markerHold struct{ *transport.Chaos }
+
+func (h markerHold) Send(from, to int, kind transport.Kind, payload []byte) {
+	if from == to || kind != transport.KindControl {
+		h.Chaos.Send(from, to, kind, payload)
+	}
+}
+
+// TestBarrierCrashMidAlignmentFallsBack: incarnation 0 withholds every
+// cross-process marker, so no cut can complete — cut 1 is still
+// mid-alignment when the process crashes. Recovery must fall back to the
+// last complete snapshot (here: none — a full epoch-0 replay) and still
+// produce the reference output; the second, healthy incarnation then
+// checkpoints normally.
 func TestBarrierCrashMidAlignmentFallsBack(t *testing.T) {
 	seed := testutil.Seed(t)
 	store := supervise.NewMemStore(4)
@@ -252,24 +305,18 @@ func TestBarrierCrashMidAlignmentFallsBack(t *testing.T) {
 	fact, incarnations := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
 		return &counter{ctx: ctx}
 	}, func(inc int64, cfg *runtime.Config) {
-		ccfg := transport.ChaosConfig{Seed: seed + inc}
-		if inc == 0 {
-			ccfg.Default = transport.Fault{DropControlProb: 1.0}
-		}
-		ct := transport.NewChaos(transport.NewMem(2), ccfg)
+		ct := transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{Seed: seed + inc})
+		cfg.Transport = ct
 		if inc == 0 {
 			chaos0 = ct
+			cfg.Transport = markerHold{ct}
 		}
-		cfg.Transport = ct
 	})
-	sup, err := supervise.New(supervise.Config{
-		Factory: fact, Store: store, Seed: seed,
-		CutSettleTimeout: 250 * time.Millisecond,
-	})
+	sup, err := supervise.New(supervise.Config{Factory: fact, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedPow2(t, sup, 3) // cut 1 injected at epoch 1 and stuck aligning forever
+	feedPow2(t, sup, 3) // cut 1 injected at epoch 1 and stuck aligning
 	chaos0.Crash(1)
 	if err := sup.OnNext("in", int64(1)<<3); err != nil {
 		t.Fatal(err)
@@ -298,7 +345,6 @@ func TestBarrierCrashMidAlignmentFallsBack(t *testing.T) {
 // latest complete cut and replaying its delivery log — no teardown, no new
 // incarnation, healthy workers never stop.
 func TestSelectiveRollbackKeepsHealthyWorkersRunning(t *testing.T) {
-	seed := testutil.Seed(t)
 	s := newEpochSink()
 	var comp *runtime.Computation
 	fact, incarnations := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
@@ -314,7 +360,7 @@ func TestSelectiveRollbackKeepsHealthyWorkersRunning(t *testing.T) {
 		return b, err
 	})
 	sup, err := supervise.New(supervise.Config{
-		Factory: wrapped, Selective: true, Seed: seed,
+		Factory: wrapped, Selective: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +477,7 @@ func TestSelectiveRollbackReplaysBatchesAsBatches(t *testing.T) {
 			}
 			return b, err
 		}),
-		Selective: true, CheckpointEvery: 100, Seed: testutil.Seed(t),
+		Selective: true, CheckpointEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,18 +494,9 @@ func TestSelectiveRollbackReplaysBatchesAsBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitEpoch := func(e int64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for len(s.values(e)) == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("epoch %d never reached the sink", e)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	feed(0)
 	feed(1)
-	waitEpoch(1)
+	waitEpoch(t, s, 1)
 	if err := comp.CrashWorker(0); err != nil {
 		t.Fatal(err)
 	}
@@ -488,22 +525,24 @@ func TestSelectiveRollbackReplaysBatchesAsBatches(t *testing.T) {
 	}
 }
 
-// TestCutSettleTimeoutReleasesDeferredClose: when the network eats every
-// marker, the final cut never settles; the settle timer must abort it so
-// the deferred CloseInput → Wait completes instead of hanging forever.
-func TestCutSettleTimeoutReleasesDeferredClose(t *testing.T) {
+// TestLostMarkerReleasesDeferredClose: incarnation 0 loses every marker,
+// so its final cut can never settle and CloseInput is deferred behind it.
+// The loss is a reported link failure: the supervisor restarts, the
+// rebuilt incarnation settles the cut, the deferred close is applied, and
+// Wait returns — no timer involved.
+func TestLostMarkerReleasesDeferredClose(t *testing.T) {
 	seed := testutil.Seed(t)
 	s := newEpochSink()
 	fact, _ := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
 		return &counter{ctx: ctx}
 	}, func(inc int64, cfg *runtime.Config) {
-		cfg.Transport = transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{
-			Seed: seed + inc, Default: transport.Fault{DropControlProb: 1.0},
-		})
+		var f transport.Fault
+		if inc == 0 {
+			f.DropControlProb = 1
+		}
+		cfg.Transport = transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{Seed: seed + inc, Default: f})
 	})
-	sup, err := supervise.New(supervise.Config{
-		Factory: fact, Seed: seed, CutSettleTimeout: 100 * time.Millisecond,
-	})
+	sup, err := supervise.New(supervise.Config{Factory: fact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,16 +558,12 @@ func TestCutSettleTimeoutReleasesDeferredClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Wait hung: the stalled cut blocked the deferred close forever")
+		t.Fatal("Wait hung: the lost marker blocked the deferred close forever")
 	}
 	if got := s.values(2); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("epoch 2 = %v, want [7]", got)
 	}
-	rec := sup.Recovery()
-	if rec.CutAborts == 0 {
-		t.Fatalf("stalled cut was never aborted: %+v", rec)
-	}
-	if rec.Checkpoints != 0 {
-		t.Fatalf("a cut completed with every marker dropped: %+v", rec)
+	if rec := sup.Recovery(); rec.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1: the lost marker must fail incarnation 0 (%+v)", rec.Restarts, rec)
 	}
 }

@@ -64,7 +64,6 @@ type simSchedule struct {
 	crashAfterCuts int64       // worker crashes wait for this many complete cuts
 	pauseProb      float64
 	selective      bool
-	settleTimeout  time.Duration
 	checkpointEach int64
 }
 
@@ -92,7 +91,6 @@ func drawSchedule(seed int64) (*rand.Rand, simSchedule) {
 		workerCrashAt:  make(map[int]int),
 		pauseProb:      0.3,
 		selective:      rng.Float64() < 0.75,
-		settleTimeout:  time.Duration(100+rng.Intn(150)) * time.Millisecond,
 		checkpointEach: 1 + rng.Int63n(2),
 	}
 	if rng.Float64() < 0.5 {
@@ -114,21 +112,27 @@ func runSimulation(t *testing.T, seed int64, rng *rand.Rand, sch simSchedule,
 	mkVertex func(*runtime.Context) runtime.Vertex) simResult {
 	t.Helper()
 	progress.AuditCaps(t)
-	t.Logf("schedule: %d epochs, fault %+v, procCrashAt %d, workerCrashAt %v, selective %v, settle %v, every %d",
-		sch.epochs, sch.fault, sch.procCrashAt, sch.workerCrashAt, sch.selective,
-		sch.settleTimeout, sch.checkpointEach)
+	t.Logf("schedule: %d epochs, fault %+v, procCrashAt %d, workerCrashAt %v, selective %v, every %d",
+		sch.epochs, sch.fault, sch.procCrashAt, sch.workerCrashAt, sch.selective, sch.checkpointEach)
 
 	store := supervise.NewMemStore(4)
 	s := newEpochSink()
 	target := &simTarget{}
 	fact, incarnations := counterFactory(s, mkVertex, func(inc int64, cfg *runtime.Config) {
+		// A lost marker fails its incarnation; drawn for every incarnation
+		// it would fail every recovery too, so only incarnation 0 loses any.
+		f := sch.fault
+		if inc > 0 {
+			f.DropControlProb = 0
+		}
 		ct := transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{
-			Seed: seed + inc, Default: sch.fault,
+			Seed: seed + inc, Default: f,
 		})
 		cfg.Transport = ct
 		cfg.SafetyChecks = true
-		// A process crash aborts through the chaos transport's failure
-		// report; counterFactory's Watchdog is the backstop for a stall.
+		// A process crash or a lost marker aborts through the chaos
+		// transport's failure report; counterFactory's Watchdog is the
+		// backstop for a stall.
 		target.setChaos(ct)
 	})
 	wrapped := supervise.Factory(func() (*supervise.Build, error) {
@@ -139,13 +143,10 @@ func runSimulation(t *testing.T, seed int64, rng *rand.Rand, sch simSchedule,
 		return b, err
 	})
 	sup, err := supervise.New(supervise.Config{
-		Factory: wrapped, Store: store, Seed: seed,
-		Selective:        sch.selective,
-		CheckpointEvery:  sch.checkpointEach,
-		CutSettleTimeout: sch.settleTimeout,
-		MaxRestarts:      6,
-		Backoff:          time.Millisecond,
-		MaxBackoff:       8 * time.Millisecond,
+		Factory: wrapped, Store: store,
+		Selective:       sch.selective,
+		CheckpointEvery: sch.checkpointEach,
+		MaxRestarts:     6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,8 +410,7 @@ func TestSimulationMidBarrierWorkerCrash(t *testing.T) {
 		return b, err
 	})
 	sup, err := supervise.New(supervise.Config{
-		Factory: wrapped, Selective: true, Seed: seed,
-		CutSettleTimeout: 250 * time.Millisecond,
+		Factory: wrapped, Selective: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,8 +78,12 @@ func runSinkSchedule(t *testing.T, seed int64, sch sinkSchedule) (*lib.MemSink, 
 	cuts := supervise.NewMemStore(4)
 	target := &simTarget{}
 	fact, _ := sinkFactory(store, func(inc int64, cfg *runtime.Config) {
+		f := sch.fault
+		if inc > 0 {
+			f.DropControlProb = 0 // a lost marker fails its incarnation: incarnation 0 only
+		}
 		ct := transport.NewChaos(transport.NewMem(2), transport.ChaosConfig{
-			Seed: seed + inc, Default: sch.fault,
+			Seed: seed + inc, Default: f,
 		})
 		cfg.Transport = ct
 		cfg.SafetyChecks = true
@@ -93,13 +97,10 @@ func runSinkSchedule(t *testing.T, seed int64, sch sinkSchedule) (*lib.MemSink, 
 		return b, err
 	})
 	sup, err := supervise.New(supervise.Config{
-		Factory: wrapped, Store: cuts, Seed: seed,
-		Selective:        sch.selective,
-		CheckpointEvery:  1,
-		CutSettleTimeout: 250 * time.Millisecond,
-		MaxRestarts:      6,
-		Backoff:          time.Millisecond,
-		MaxBackoff:       8 * time.Millisecond,
+		Factory: wrapped, Store: cuts,
+		Selective:       sch.selective,
+		CheckpointEvery: 1,
+		MaxRestarts:     6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,8 +250,9 @@ func TestSinkExactlyOnceAcrossRestart(t *testing.T) {
 }
 
 // TestSinkExactlyOnceUnderMarkerChaos runs the schedule with control-frame
-// drop, duplication, and reordering on every link: cuts stall and abort,
-// but the committed output must stay exact.
+// duplication and reordering on every link and marker loss on incarnation
+// 0's: cuts abort and a lost marker forces a restart, but the committed
+// output must stay exact.
 func TestSinkExactlyOnceUnderMarkerChaos(t *testing.T) {
 	progress.AuditCaps(t)
 	seed := testutil.Seed(t)
@@ -304,10 +306,8 @@ func TestSinkExactlyOnceAcrossLostFrame(t *testing.T) {
 		}
 	})
 	sup, err := supervise.New(supervise.Config{
-		Factory: fact, Store: supervise.NewMemStore(4), Seed: seed,
+		Factory: fact, Store: supervise.NewMemStore(4),
 		CheckpointEvery: 1,
-		Backoff:         time.Millisecond,
-		MaxBackoff:      8 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

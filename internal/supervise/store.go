@@ -17,7 +17,8 @@ import (
 // snapshot into a longer replay instead of a lost computation.
 type SnapshotStore interface {
 	// Save persists data under epoch, evicting the oldest snapshots beyond
-	// the store's retention limit.
+	// the store's retention limit. The store owns data after the call: the
+	// caller must not modify it.
 	Save(epoch int64, data []byte) error
 	// Epochs returns the retained snapshot epochs in ascending order.
 	Epochs() ([]int64, error)
@@ -42,11 +43,11 @@ func NewMemStore(k int) *MemStore {
 	return &MemStore{k: k, snap: make(map[int64][]byte)}
 }
 
-// Save stores a copy of data under epoch.
+// Save keeps data itself under epoch: the store owns it after the call.
 func (m *MemStore) Save(epoch int64, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.snap[epoch] = append([]byte(nil), data...)
+	m.snap[epoch] = data
 	for len(m.snap) > m.k {
 		oldest := int64(0)
 		first := true
@@ -72,7 +73,7 @@ func (m *MemStore) Epochs() ([]int64, error) {
 	return eps, nil
 }
 
-// Load returns the snapshot stored under epoch.
+// Load returns a copy of the snapshot stored under epoch.
 func (m *MemStore) Load(epoch int64) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -50,26 +50,42 @@ func TestDiskStoreRetention(t *testing.T) {
 	testStoreRetention(t, st)
 }
 
-// TestMemStoreCopies: Save and Load must copy, so callers mutating their
-// buffers cannot corrupt the retained snapshot.
+// TestMemStoreCopies: Load must copy, so a caller mutating what it loaded
+// cannot corrupt the retained snapshot.
 func TestMemStoreCopies(t *testing.T) {
 	st := supervise.NewMemStore(2)
-	buf := []byte{1, 2, 3}
-	if err := st.Save(7, buf); err != nil {
+	if err := st.Save(7, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	buf[0] = 99
 	got, err := st.Load(7)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("caller mutation leaked into the store: %v", got)
 	}
 	got[1] = 99
 	again, _ := st.Load(7)
 	if !bytes.Equal(again, []byte{1, 2, 3}) {
 		t.Fatalf("load-side mutation leaked into the store: %v", again)
+	}
+}
+
+// TestMemStoreSaveKeepsBuffer: Save keeps the buffer it is given — the
+// store owns it after the call — so a steady-state Save, evicting as it
+// goes, allocates nothing.
+func TestMemStoreSaveKeepsBuffer(t *testing.T) {
+	st := supervise.NewMemStore(3)
+	data := make([]byte, 4096)
+	epoch := int64(0)
+	save := func() {
+		epoch++
+		if err := st.Save(epoch, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		save()
+	}
+	if n := testing.AllocsPerRun(100, save); n != 0 {
+		t.Fatalf("steady-state Save allocates %.1f times, want 0", n)
 	}
 }
 

@@ -25,7 +25,6 @@ package supervise
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -65,19 +64,6 @@ type Config struct {
 	// (default 3); when they are exhausted the supervisor enters the
 	// terminal gave-up state and Wait returns ErrGaveUp.
 	MaxRestarts int
-	// Backoff is the delay before the second restart attempt (default
-	// 50ms), doubling per attempt up to MaxBackoff (default 2s), with
-	// ±50% jitter. The first attempt is immediate.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Seed drives the backoff jitter PRNG (default 1).
-	Seed int64
-	// CutSettleTimeout bounds every barrier cut's lifetime (default 1s).
-	// A cut normally settles in microseconds; one that outlives the
-	// timeout has lost a marker (a lossy network), and leaving it pending
-	// would block all future checkpoints — and any deferred CloseInput —
-	// forever. The stale cut is aborted: a lost snapshot, never lost data.
-	CutSettleTimeout time.Duration
 	// Selective enables single-worker rollback: the runtime keeps per-worker
 	// delivery logs, and a simulated single-worker crash
 	// (runtime.Computation.CrashWorker) is repaired by restoring only that
@@ -101,18 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRestarts <= 0 {
 		c.MaxRestarts = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.CutSettleTimeout <= 0 {
-		c.CutSettleTimeout = time.Second
 	}
 	return c
 }
@@ -141,10 +115,9 @@ type command struct {
 type supEventKind uint8
 
 const (
-	evCutDone  supEventKind = iota // a barrier cut assembled completely
-	evCutFail                      // a barrier cut was poisoned or aborted
-	evCutStale                     // the settle timer expired on a pending cut
-	evCrash                        // a single worker parked (Selective mode)
+	evCutDone supEventKind = iota // a barrier cut assembled completely
+	evCutFail                     // a barrier cut was poisoned or aborted
+	evCrash                       // a single worker parked (Selective mode)
 )
 
 // supEvent carries a runtime callback onto the supervisor's run loop. gen
@@ -184,7 +157,6 @@ type Supervisor struct {
 	// actual Close is applied once the cut settles.
 	closeDeferred map[string]bool
 	lastCP        int64
-	rng           *rand.Rand
 
 	// Barrier-cut state. gen counts incarnations;
 	// cutSeq issues monotone cut ids across them. pendingCut is the one cut
@@ -195,7 +167,6 @@ type Supervisor struct {
 	cutSeq          int64
 	pendingCut      int64
 	pendingCutEpoch int64
-	settleArmed     int64 // cut id with a settle timer running, 0 = none
 	lastCut         *runtime.CutSnapshot
 	lastCutID       int64
 
@@ -221,7 +192,6 @@ func New(cfg Config) (*Supervisor, error) {
 		fed:           make(map[string]int64),
 		closedIn:      make(map[string]bool),
 		closeDeferred: make(map[string]bool),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	build, err := s.spawn()
 	if err != nil {
@@ -413,8 +383,8 @@ func (s *Supervisor) handle(cmd command) {
 		// drains the computation, and workers that exit mid-alignment would
 		// strand the cut. If the final cut has not been injected yet (e.g.
 		// the previous one was aborted and no feed followed), inject it now
-		// — no later feed will. The close is applied when the cut settles;
-		// the settle timer bounds the wait on a lossy network.
+		// — no later feed will. The close is applied when the cut settles,
+		// or once a failure has taken the cut down with its incarnation.
 		if _, ready := s.cutBoundary(); ready || s.pendingCut != 0 {
 			s.closeDeferred[cmd.input] = true
 			if s.pendingCut == 0 {
@@ -455,11 +425,9 @@ func (s *Supervisor) cutBoundary() (int64, bool) {
 // closed (the computation is draining toward completion). There is no
 // Probe.WaitFor: the cut assembles downstream while the supervisor keeps
 // feeding — the whole point of the barrier design. At most one cut is in
-// flight, and every cut's lifetime is bounded by the settle timer: a
-// healthy cut assembles in microseconds, so one that outlives
-// CutSettleTimeout has lost a marker and is aborted to unblock the next
-// boundary. The feed rate deliberately plays no part — a feeder that
-// outruns cut assembly must not get its healthy cuts aborted.
+// flight. A cut needs no timer: the channels are reliable, so every cut
+// settles — complete, poisoned, or torn down with an incarnation whose
+// transport reported a lost frame (a lost marker included).
 func (s *Supervisor) maybeCheckpoint() {
 	for _, closed := range s.closedIn {
 		if closed {
@@ -475,16 +443,11 @@ func (s *Supervisor) maybeCheckpoint() {
 	s.pendingCutEpoch = epoch
 	if err := s.build.Comp.InjectBarrier(s.cutSeq, epoch); err != nil {
 		s.pendingCut = 0 // e.g. the computation is already failed
-		return
 	}
-	s.armSettleTimer()
 }
 
 // applyDeferredCloses closes inputs whose Close was held back for an
-// in-flight cut, once no cut is pending anymore. While one still is, the
-// settle timer armed at its injection bounds the wait: a cut that never
-// settles — markers eaten by the network — cannot block the closes
-// forever.
+// in-flight cut, once no cut is pending anymore.
 func (s *Supervisor) applyDeferredCloses() {
 	if len(s.closeDeferred) == 0 || s.pendingCut != 0 {
 		return
@@ -494,25 +457,6 @@ func (s *Supervisor) applyDeferredCloses() {
 		s.closedIn[name] = true
 		s.build.Inputs[name].Close()
 	}
-}
-
-// armSettleTimer starts (at most once per cut) a timer that aborts the
-// pending cut if it has not settled within CutSettleTimeout. The timer
-// fires through evCh with the incarnation and cut id pinned, so a cut that
-// settled — or a later incarnation — ignores it; aborting a genuinely
-// stalled cut costs the snapshot, never data.
-func (s *Supervisor) armSettleTimer() {
-	if s.pendingCut == 0 || s.settleArmed == s.pendingCut {
-		return
-	}
-	s.settleArmed = s.pendingCut
-	gen, cut := s.gen, s.pendingCut
-	time.AfterFunc(s.cfg.CutSettleTimeout, func() {
-		select {
-		case s.evCh <- supEvent{gen: gen, kind: evCutStale, cut: cut}:
-		case <-s.doneCh:
-		}
-	})
 }
 
 // handleEvent applies one runtime callback on the run loop. Events from a
@@ -574,17 +518,10 @@ func (s *Supervisor) handleEvent(ev supEvent) {
 		// cut state.
 		s.build.Comp.AbortCut(ev.cut)
 		// Deferred closes are applied without retrying the cut: under a
-		// network that keeps eating markers, retry-on-fail would spin
+		// network that keeps poisoning markers, retry-on-fail would spin
 		// forever while the application waits on Wait. The next feed (if
 		// any) retries naturally.
 		s.applyDeferredCloses()
-	case evCutStale:
-		// The settle timer expired. AbortCut is idempotent: if the cut
-		// settled in the meantime this is a no-op; otherwise the poison
-		// comes back as evCutFail, which releases the deferred closes.
-		if ev.cut == s.pendingCut {
-			s.build.Comp.AbortCut(ev.cut)
-		}
 	case evCrash:
 		s.reviveWorker(ev.worker)
 	}
@@ -647,18 +584,14 @@ func (s *Supervisor) pruneLog() {
 // Returns false after exhausting the restart budget (terminal gave-up).
 func (s *Supervisor) recover(cause error) bool {
 	t0 := time.Now()
-	// Barrier state died with the incarnation: any in-flight cut is gone,
-	// and the in-memory lastCut belongs to worker delivery logs that no
-	// longer exist. The next incarnation rebuilds its baseline from the
-	// store (restoreInto) and from fresh cuts; a selective revival before
-	// the first new cut falls back to the worker's restored segment zero.
-	s.pendingCut = 0
-	s.lastCut = nil
-	s.lastCutID = 0
 	for attempt := 1; attempt <= s.cfg.MaxRestarts; attempt++ {
-		if attempt > 1 {
-			s.backoff(attempt)
-		}
+		// Barrier state dies with each incarnation, the failed one and any
+		// attempt that cut during its catch-up: an in-flight cut is gone,
+		// and lastCut belongs to worker delivery logs that no longer exist.
+		// The next incarnation rebuilds its baseline from the store
+		// (restoreInto) and from fresh cuts; a selective revival before the
+		// first new cut falls back to the worker's restored segment zero.
+		s.pendingCut, s.lastCut, s.lastCutID = 0, nil, 0
 		build, err := s.spawn()
 		if err != nil {
 			cause = err
@@ -683,22 +616,29 @@ func (s *Supervisor) recover(cause error) bool {
 		}
 		// Catch up to the pre-failure frontier before declaring recovery
 		// done. WaitFor also unblocks if this incarnation aborts; Failed
-		// disambiguates.
-		minFed := int64(-1)
-		for _, f := range s.fed {
-			if minFed < 0 || f < minFed {
-				minFed = f
-			}
-		}
-		if minFed > 0 {
+		// disambiguates. The run loop keeps serving this incarnation's
+		// events meanwhile: a worker that crashes during the catch-up is
+		// revived, not left parked until the watchdog fails the attempt.
+		s.build = build
+		minFed, _ := s.cutBoundary()
+		caught := make(chan struct{})
+		go func() {
 			build.Probe.WaitFor(minFed - 1)
+			close(caught)
+		}()
+		for waiting := true; waiting; {
+			select {
+			case <-caught:
+				waiting = false
+			case ev := <-s.evCh:
+				s.handleEvent(ev)
+			}
 		}
 		if build.Comp.Failed() {
 			cause = build.Comp.Err()
 			build.Comp.Join()
 			continue
 		}
-		s.build = build
 		s.rm.Restarts.Add(1)
 		s.rm.LastRecoveryNanos.Store(time.Since(t0).Nanoseconds())
 		if tr := s.cfg.Tracer; tr != nil {
@@ -787,14 +727,4 @@ func (s *Supervisor) replayInto(build *Build) error {
 func feed(in *runtime.Input, b *runtime.Batch) {
 	in.SendBatch(b.Retain())
 	in.Advance()
-}
-
-// backoff sleeps the jittered exponential delay before a restart attempt
-// (attempt ≥ 2).
-func (s *Supervisor) backoff(attempt int) {
-	d := s.cfg.Backoff << (attempt - 2)
-	if d <= 0 || d > s.cfg.MaxBackoff {
-		d = s.cfg.MaxBackoff
-	}
-	time.Sleep(d/2 + time.Duration(s.rng.Int63n(int64(d))))
 }

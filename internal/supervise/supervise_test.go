@@ -175,7 +175,7 @@ func TestSupervisorCleanRun(t *testing.T) {
 	fact, incarnations := counterFactory(s, func(ctx *runtime.Context) runtime.Vertex {
 		return &counter{ctx: ctx}
 	}, nil)
-	sup, err := supervise.New(supervise.Config{Factory: fact, Seed: testutil.Seed(t)})
+	sup, err := supervise.New(supervise.Config{Factory: fact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSupervisorRecoversFromCrash(t *testing.T) {
 		}
 		cfg.Transport = ct
 	})
-	sup, err := supervise.New(supervise.Config{Factory: fact, Seed: seed})
+	sup, err := supervise.New(supervise.Config{Factory: fact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func twoInputFactory(s *epochSink, tune func(incarnation int64, cfg *runtime.Con
 func TestSupervisorMultiInputAlignment(t *testing.T) {
 	s := newEpochSink()
 	fact, incarnations := twoInputFactory(s, nil)
-	sup, err := supervise.New(supervise.Config{Factory: fact, Seed: testutil.Seed(t)})
+	sup, err := supervise.New(supervise.Config{Factory: fact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestSupervisorReplayUnaffectedByCallerBufferReuse(t *testing.T) {
 				}
 				return b, err
 			}
-			sup, err := supervise.New(supervise.Config{Factory: first, CheckpointEvery: 100, Seed: seed})
+			sup, err := supervise.New(supervise.Config{Factory: first, CheckpointEvery: 100})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,7 +443,7 @@ func TestSupervisorRecoversFromPartition(t *testing.T) {
 		cfg.Transport = transport.NewChaos(transport.NewMem(2), ccfg)
 	})
 	var first *runtime.Computation
-	sup, err := supervise.New(supervise.Config{Seed: seed, Factory: func() (*supervise.Build, error) {
+	sup, err := supervise.New(supervise.Config{Factory: func() (*supervise.Build, error) {
 		b, err := fact()
 		if first == nil && err == nil {
 			first = b.Comp
@@ -483,9 +483,6 @@ func TestSupervisorGivesUp(t *testing.T) {
 	sup, err := supervise.New(supervise.Config{
 		Factory:     fact,
 		MaxRestarts: 2,
-		Backoff:     time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Seed:        testutil.Seed(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +548,7 @@ func TestSupervisorFallsBackPastCorruptSnapshot(t *testing.T) {
 				cfg.Transport = ct
 			})
 			tr := trace.New(trace.Config{RingBits: 12})
-			sup, err := supervise.New(supervise.Config{Factory: fact, Store: store, Seed: seed, Tracer: tr})
+			sup, err := supervise.New(supervise.Config{Factory: fact, Store: store, Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
 			}

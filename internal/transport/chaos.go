@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,7 +12,9 @@ import (
 // Chaos wraps another Transport and injects configurable, seeded-
 // deterministic faults on every inter-process link: latency and jitter,
 // slow-link stragglers (§3.5), bandwidth throttling, network partitions
-// that heal, and process crashes at a chosen frame count. All fault
+// that heal, lost barrier markers, and process crashes at a chosen frame
+// count. A frame it accepts and then loses is a reported failure, as on
+// TCP: a crash reports a *CrashError, a lost marker a *LinkError. All fault
 // decisions are drawn from per-link PRNGs derived from ChaosConfig.Seed,
 // so a fault schedule is reproducible from its seed.
 //
@@ -31,7 +34,10 @@ type Chaos struct {
 	frames []atomic.Int64 // frames sent or received per process
 	crash  []int64        // crash threshold per process, 0 = never
 
-	onFail func(error)
+	failMu  sync.Mutex
+	onFail  func(error)
+	pending []error     // failures before SetOnFail, handed to it
+	lost    atomic.Bool // a marker loss has been reported
 
 	start  time.Time
 	closed atomic.Bool
@@ -58,9 +64,10 @@ type Fault struct {
 	// frame. Only for negative tests of the progress protocol's safety
 	// assumptions; real networks with TCP framing never do this.
 	ReorderProb float64
-	// DropControlProb silently drops KindControl frames (barrier markers)
-	// with this probability. Only for negative tests of the asynchronous-
-	// barrier protocol: a dropped marker must stall the cut, never tear it.
+	// DropControlProb loses KindControl frames (barrier markers) with this
+	// probability and reports the first loss through SetOnFail as a
+	// *LinkError, the way TCP reports a dead link: the computation fails
+	// and restarts from its last complete cut, which is never torn.
 	DropControlProb float64
 	// DupControlProb enqueues KindControl frames twice with this
 	// probability — a duplicate barrier marker must poison the cut, never
@@ -190,9 +197,31 @@ func (e *CrashError) Error() string {
 }
 
 // SetOnFail installs the callback fired with a *CrashError (once per
-// process, from its own goroutine) when a process crashes. The runtime
-// uses it to abort the computation instead of hanging on lost frames.
-func (c *Chaos) SetOnFail(f func(error)) { c.onFail = f }
+// process, from its own goroutine) when a process crashes, and with a
+// *LinkError (once per transport, from the sender) when a marker is lost.
+// The runtime uses it to abort the computation instead of hanging on lost
+// frames. Failures that happened before SetOnFail are reported to f at once.
+func (c *Chaos) SetOnFail(f func(error)) {
+	c.failMu.Lock()
+	c.onFail = f
+	pending := c.pending
+	c.pending = nil
+	c.failMu.Unlock()
+	for _, err := range pending {
+		f(err)
+	}
+}
+
+// failure returns the callback to report err to, or keeps err for the
+// callback SetOnFail installs later.
+func (c *Chaos) failure(err error) func(error) {
+	c.failMu.Lock()
+	defer c.failMu.Unlock()
+	if c.onFail == nil {
+		c.pending = append(c.pending, err)
+	}
+	return c.onFail
+}
 
 // Processes returns the process count.
 func (c *Chaos) Processes() int { return c.n }
@@ -201,7 +230,8 @@ func (c *Chaos) Processes() int { return c.n }
 func (c *Chaos) SetHandler(proc int, h Handler) { c.inner.SetHandler(proc, h) }
 
 // Stats returns the inner transport's counters. Frames dropped by a crash
-// are never counted; delayed frames are counted at actual delivery.
+// are never counted, a lost marker is counted as a drop, and delayed frames
+// are counted at actual delivery.
 func (c *Chaos) Stats() *Stats { return c.inner.Stats() }
 
 // Alive reports whether the process has not crashed.
@@ -216,8 +246,9 @@ func (c *Chaos) kill(proc int) {
 	if c.dead[proc].Swap(true) {
 		return
 	}
-	if f := c.onFail; f != nil {
-		go f(&CrashError{Proc: proc})
+	err := &CrashError{Proc: proc}
+	if f := c.failure(err); f != nil {
+		go f(err)
 	}
 }
 
@@ -252,7 +283,8 @@ func (c *Chaos) partitioned(from, to int, now time.Time) (bool, time.Time) {
 
 // Send injects faults and enqueues the frame for delayed delivery.
 // Same-process sends pass straight through; sends touching a crashed
-// process are dropped. Send never blocks on receiver progress.
+// process are dropped, that crash already reported. Send never blocks on
+// receiver progress.
 func (c *Chaos) Send(from, to int, kind Kind, payload []byte) {
 	if c.closed.Load() {
 		return
@@ -280,7 +312,8 @@ func (c *Chaos) Send(from, to int, kind Kind, payload []byte) {
 	if kind == KindControl {
 		if p := l.fault.DropControlProb; p > 0 && l.rng.Float64() < p {
 			l.mu.Unlock()
-			return // marker lost in flight; the cut stalls, it never tears
+			c.loseMarker(from, to)
+			return
 		}
 		if p := l.fault.DupControlProb; p > 0 && l.rng.Float64() < p {
 			dup = true
@@ -329,6 +362,21 @@ func (c *Chaos) Send(from, to int, kind Kind, payload []byte) {
 	l.mu.Unlock()
 	l.cond.Signal()
 }
+
+// loseMarker reports a marker lost on the link from→to, at most once per
+// transport: the first loss already fails the computation.
+func (c *Chaos) loseMarker(from, to int) {
+	c.inner.Stats().CountDrops(KindControl, 1)
+	if c.lost.Swap(true) {
+		return
+	}
+	err := &LinkError{From: from, To: to, Err: errMarkerLost}
+	if f := c.failure(err); f != nil {
+		f(err)
+	}
+}
+
+var errMarkerLost = errors.New("barrier marker lost (chaos fault injection)")
 
 // deliverLoop forwards one link's frames in queue order, sleeping until
 // each frame's delivery instant.

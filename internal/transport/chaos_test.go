@@ -152,6 +152,48 @@ func TestChaosManualCrash(t *testing.T) {
 	}
 }
 
+// TestChaosDroppedMarkerReported: a lost barrier marker is a reported
+// failure, never a silent drop. With every marker lost, SetOnFail fires
+// exactly once, with a *LinkError naming the first lost marker's link, and
+// no data frame is lost alongside.
+func TestChaosDroppedMarkerReported(t *testing.T) {
+	defer testutil.CheckNoLeaks(t)()
+	tr := NewChaos(NewMem(2), ChaosConfig{Seed: testutil.Seed(t), Default: Fault{DropControlProb: 1}})
+	defer tr.Close()
+	failures := make(chan error, 8)
+	tr.SetOnFail(func(err error) { failures <- err })
+	col := newCollector()
+	tr.SetHandler(0, func(int, Kind, []byte) {})
+	tr.SetHandler(1, col.handler)
+	for i := 0; i < 8; i++ {
+		tr.Send(0, 1, KindControl, []byte{byte(i)})
+		tr.Send(0, 1, KindData, []byte{byte(i)})
+		tr.Send(1, 0, KindControl, []byte{byte(i)})
+	}
+	select {
+	case err := <-failures:
+		var le *LinkError
+		if !errors.As(err, &le) || le.From != 0 || le.To != 1 {
+			t.Fatalf("failure %v, want a *LinkError for link 0→1", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("SetOnFail never fired for a lost marker")
+	}
+	for i, f := range col.waitFor(t, 8) {
+		if f.kind != KindData || f.payload[0] != byte(i) {
+			t.Fatalf("frame %d = %v %v, want data frame %d: a data frame was lost", i, f.kind, f.payload, i)
+		}
+	}
+	if got := tr.Stats().Drops(KindControl); got != 16 {
+		t.Fatalf("control drops = %d, want 16", got)
+	}
+	select {
+	case err := <-failures:
+		t.Fatalf("SetOnFail fired twice: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
 // TestChaosReorderViolatesFIFO checks the deliberate-violation knob: with
 // ReorderProb set, delivery order must differ from send order. This is the
 // fault the progress protocol can NOT tolerate; the safety monitor's

@@ -54,8 +54,9 @@ type tcpLink struct {
 	broken bool
 }
 
-// LinkError is a TCP link failure: the directed link From→To lost a frame
-// (a write failed) or its stream broke (a short read or a corrupt header).
+// LinkError is a link failure: the directed link From→To lost a frame (a
+// TCP write failed, or Chaos lost a marker) or its TCP stream broke (a
+// short read or a corrupt header).
 type LinkError struct {
 	From, To int
 	Err      error
